@@ -18,8 +18,6 @@ from timebinsim import (
     HAAR,
     analyze,
     apply_collective_noise,
-    build_decoder,
-    build_encoder,
     correction_table,
     new_state,
     random_qubit,
@@ -28,9 +26,8 @@ from timebinsim import (
     total_success,
 )
 
-encoder = EncoderSpec(stages=1, dT=64)
-decoder = DecoderSpec()
-table = correction_table(encoder, decoder)
+# the table also carries the encoder and decoder circuits it was derived from
+table = correction_table(EncoderSpec(stages=1, dT=64), DecoderSpec())
 
 print("derived corrections (branch, bin) -> Pauli:")
 for (branch, tick), correction in sorted(table.entries.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
@@ -41,9 +38,9 @@ params = sample_noise(HAAR, seed=7)
 print(f"\nchannel draw: d1={params.d1:.3f} g1={params.g1:.3f} "
       f"d2={params.d2:.3f} g2={params.g2:.3f}")
 
-sent = run(build_encoder(encoder), new_state(qubit))
+sent = run(table.encoder_circuit, new_state(qubit))
 noisy = apply_collective_noise(sent, params, CHANNEL)
-reports = analyze(run(build_decoder(decoder), noisy), table, qubit)
+reports = analyze(run(table.decoder_circuit, noisy), table, qubit)
 
 for r in reports:
     print(f"\nbranch {r.branch.name} (port {r.port}, offset {r.offset}):")

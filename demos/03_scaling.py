@@ -13,8 +13,6 @@ from timebinsim import (
     HAAR,
     analyze,
     apply_collective_noise,
-    build_decoder,
-    build_encoder,
     correction_table,
     encoder_spec_for,
     new_state,
@@ -27,12 +25,11 @@ from timebinsim import (
 print(f"{'stages':>6} {'bins/group':>10} {'wavepackets':>11} {'success':>18} {'(N-1)/N':>18}")
 for stages in range(1, 6):
     encoder = encoder_spec_for(stages)
-    decoder = DecoderSpec()
-    table = correction_table(encoder, decoder)
+    table = correction_table(encoder, DecoderSpec())
     qubit = random_qubit(np.random.default_rng(stages))
     params = sample_noise(HAAR, stages)
-    sent = run(build_encoder(encoder), new_state(qubit))
-    out = run(build_decoder(decoder), apply_collective_noise(sent, params, CHANNEL))
+    sent = run(table.encoder_circuit, new_state(qubit))
+    out = run(table.decoder_circuit, apply_collective_noise(sent, params, CHANNEL))
     success = total_success(analyze(out, table, qubit))
     n = encoder.bins_per_group
     print(f"{stages:>6} {n:>10} {encoder.wavepackets:>11} {success:>18.15f} {(n - 1) / n:>18.15f}")

@@ -15,23 +15,11 @@ from .state import (
     QubitSpec,
     fidelity_with_qubit,
     new_state,
-    norm_sq,
     qubit_amplitudes,
     random_qubit,
-    restrict,
     superpose,
 )
-from .elements import (
-    BsConvention,
-    ConventionError,
-    Element,
-    apply_bs,
-    apply_delay,
-    apply_hwp,
-    apply_pbs,
-    apply_phase,
-    apply_timebin_splitter,
-)
+from .elements import BsConvention, ConventionError, Element
 from .noise import (
     GENERAL,
     HAAR,
@@ -44,12 +32,14 @@ from .noise import (
 )
 from .circuits import (
     CHANNEL,
+    MAX_STAGES,
     PORT_ALT,
     PORT_MAIN,
     Circuit,
     CircuitError,
     DecoderSpec,
     EncoderSpec,
+    apply,
     build_decoder,
     build_encoder,
     check_compatible,

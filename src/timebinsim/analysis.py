@@ -59,18 +59,14 @@ class BranchId(Enum):
         return ticks
 
     def coefficient(self, params: NoiseParams) -> complex:
-        return {
-            BranchId.P1H: params.d1,
-            BranchId.P1V: params.g1,
-            BranchId.P2H: params.d2,
-            BranchId.P2V: params.g2,
-        }[self]
+        return getattr(params, _COEFFICIENT_NAMES[self])
 
     def weight(self, params: NoiseParams) -> float:
         return abs(self.coefficient(params)) ** 2 / 2.0
 
 
 BRANCHES = (BranchId.P1H, BranchId.P1V, BranchId.P2H, BranchId.P2V)
+_COEFFICIENT_NAMES = {BranchId.P1H: "d1", BranchId.P1V: "g1", BranchId.P2H: "d2", BranchId.P2V: "g2"}
 
 
 class Correction(Enum):
@@ -107,18 +103,21 @@ class CorrectionDerivationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CorrectionTable:
-    """Pauli per (branch, bin), bins counted from each group's arrival."""
+    """Pauli per (branch, bin), bins counted from each group's arrival.
+
+    Also carries the encoder and decoder circuits it was derived from, so
+    a caller transmits through the same link without building it again.
+    """
 
     encoder: EncoderSpec
     decoder: DecoderSpec
     entries: dict  # (BranchId, int) -> Correction
+    encoder_circuit: Circuit
+    decoder_circuit: Circuit
 
     @property
     def bins_per_group(self) -> int:
         return self.encoder.bins_per_group
-
-    def accepted_bins(self, branch: BranchId) -> list[int]:
-        return sorted(t for (b, t) in self.entries if b is branch)
 
 
 def _bin_vectors(state: PhotonState, port: str, offset: int, n: int) -> dict:
@@ -182,7 +181,7 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
                 f"the element conventions are inconsistent"
             )
         entries[(branch, t)] = correction
-    return CorrectionTable(encoder=encoder, decoder=decoder, entries=entries)
+    return CorrectionTable(encoder, decoder, entries, enc_c, dec_c)
 
 
 class AcceptedBin(NamedTuple):
@@ -320,8 +319,7 @@ def success_probability_sweep(
     if samples < 1:
         raise ValueError("need at least one sample")
     table = correction_table(encoder, decoder)
-    enc_c = build_encoder(encoder)
-    dec_c = build_decoder(decoder)
+    enc_c, dec_c = table.encoder_circuit, table.decoder_circuit
     n = encoder.bins_per_group
     target = (n - 1) / n
 

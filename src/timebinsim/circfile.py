@@ -26,7 +26,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .circuits import Circuit, CircuitError
-from .elements import BsConvention, Element
+from .elements import ELEMENT_KINDS, BsConvention, Element
 from .noise import NoiseParams
 
 
@@ -38,46 +38,33 @@ class CircuitTextError(ValueError):
         self.line = line
 
 
-_KINDS = ("pbs", "bs", "hwp", "phase", "delay", "split", "noise")
-_KEYS = {
-    "pbs": (),
-    "bs": ("conv",),
-    "hwp": (),
-    "phase": ("phi",),
-    "delay": ("ticks",),
-    "split": ("ticks",),
-    "noise": ("d1", "g1", "d2", "g2"),
-}
-_CONVENTIONS = {c.value: c for c in BsConvention}
-
-
 def _parse_keys(lineno: int, kind: str, tokens: list[str]) -> dict:
     values: dict = {}
     for token in tokens:
         key, _, raw = token.partition("=")
         if not _:
             raise CircuitTextError(lineno, f"expected key=value, got {token!r}")
-        if key not in _KEYS[kind]:
+        if key not in ELEMENT_KINDS[kind]:
             raise CircuitTextError(lineno, f"{kind} takes no key {key!r}")
         if key in values:
             raise CircuitTextError(lineno, f"repeated key {key!r}")
         try:
             if key == "conv":
-                values[key] = _CONVENTIONS[raw]
+                values[key] = BsConvention(raw)
             elif key == "phi":
                 values[key] = float(raw)
             elif key == "ticks":
                 values[key] = int(raw)
             else:
                 values[key] = complex(raw)
-        except (ValueError, KeyError):
+        except ValueError:
             raise CircuitTextError(lineno, f"bad value for {key!r}: {raw!r}") from None
     return values
 
 
 def _parse_element(lineno: int, tokens: list[str]) -> Element:
     kind = tokens[0]
-    if kind not in _KINDS:
+    if kind not in ELEMENT_KINDS:
         raise CircuitTextError(lineno, f"unknown element kind {kind!r}")
     if "->" not in tokens:
         raise CircuitTextError(lineno, f"{kind}: missing '->' between inputs and outputs")
@@ -160,17 +147,11 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def _format_element(el: Element) -> str:
-    parts = [el.kind, *el.ins, "->", *el.outs]
-    if el.kind == "bs":
-        parts.append(f"conv={el.convention.value}")
-    elif el.kind == "phase":
-        parts.append(f"phi={el.phi!r}")
-    elif el.kind in ("delay", "split"):
-        parts.append(f"ticks={el.ticks}")
-    elif el.kind == "noise":
-        p = el.noise or NoiseParams.identity()
-        parts += [f"d1={p.d1!r}", f"g1={p.g1!r}", f"d2={p.d2!r}", f"g2={p.g2!r}"]
-    return " ".join(parts)
+    p = el.noise or NoiseParams.identity()
+    values = {"conv": el.convention.value, "phi": repr(el.phi), "ticks": el.ticks,
+              "d1": repr(p.d1), "g1": repr(p.g1), "d2": repr(p.d2), "g2": repr(p.g2)}
+    keys = [f"{key}={values[key]}" for key in ELEMENT_KINDS[el.kind]]
+    return " ".join([el.kind, *el.ins, "->", *el.outs, *keys])
 
 
 def print_circuit(circuit: Circuit) -> str:

@@ -42,6 +42,11 @@ ENCODER_ARM_PHASE = 3.0 * math.pi / 2.0
 #: phase picked up inside the recombining interferometer.
 DECODER_ARM_PHASE = math.pi / 2.0
 
+#: Deepest encoder cascade: at 12 stages a group holds 2^13 bins and a
+#: decoded state about 6.6e4 modes. Deeper specs are rejected before any
+#: state is allocated.
+MAX_STAGES = 12
+
 #: Label of the single fiber between encoder and decoder.
 CHANNEL = "chan"
 
@@ -111,11 +116,14 @@ def _dispatch(el: Element, amps: dict) -> dict:
         amps = _apply_delay(amps, src, el.ticks)
     elif el.kind == "split":
         amps = _apply_timebin_splitter(amps, src, el.ticks)
-    elif el.kind == "noise":
+    else:  # noise
         amps = _apply_collective_noise(amps, el.noise or NoiseParams.identity(), {src})
-    else:
-        raise CircuitError(f"unknown element kind {el.kind!r}")
     return _rename_channel(amps, src, el.outs[0])
+
+
+def apply(element: Element, state: PhotonState) -> PhotonState:
+    """Apply one element to a state; channels it does not name pass through."""
+    return PhotonState._from_clean(_dispatch(element, state.amplitudes))
 
 
 def run(circuit: Circuit, state: PhotonState) -> PhotonState:
@@ -147,6 +155,8 @@ class EncoderSpec:
     def __post_init__(self):
         if self.stages < 1:
             raise CircuitError("encoder needs at least one splitter stage")
+        if self.stages > MAX_STAGES:
+            raise CircuitError(f"{self.stages} splitter stages exceed the limit of {MAX_STAGES}")
         if self.dT < 2 * self.bins_per_group:
             raise CircuitError(
                 f"group delay dT={self.dT} too short for {self.bins_per_group} bins per group"

@@ -25,28 +25,15 @@ from .circuits import (
     CircuitError,
     DecoderSpec,
     EncoderSpec,
-    build_decoder,
     build_encoder,
     encoder_spec_for,
     recombiner_elements,
     run,
 )
 from .elements import BsConvention
-from .noise import GENERAL, HAAR, IDENTITY, NoiseEnsemble, apply_collective_noise, dephasing, sample_noise
+from .noise import HAAR, NoiseEnsemble, apply_collective_noise, sample_noise
 from .qkd import Bb84Config, simulate_bb84
 from .state import PhotonState, QubitSpec, random_qubit, new_state
-
-_CONVENTIONS = {c.value: c for c in BsConvention}
-
-
-def _ensemble_from_flags(name: str, phi: float) -> NoiseEnsemble:
-    if name == "identity":
-        return IDENTITY
-    if name == "haar":
-        return HAAR
-    if name == "general":
-        return GENERAL
-    return dephasing(phi)
 
 
 def _write(out_path: str | None, text: str):
@@ -97,7 +84,7 @@ def _phase_class_deviation(actual: PhotonState, expected: PhotonState, spec: Enc
 
 
 def cmd_golden(args) -> int:
-    convention = _CONVENTIONS[args.convention]
+    convention = BsConvention(args.convention)
     spec = EncoderSpec(stages=1, dT=args.dT, convention=convention)
     rng = np.random.default_rng(args.seed)
     qubit = random_qubit(rng)
@@ -173,14 +160,14 @@ def _fmt(x: float) -> str:
 
 
 def cmd_sweep(args) -> int:
-    convention = _CONVENTIONS[args.convention]
+    convention = BsConvention(args.convention)
     encoder = (
         EncoderSpec(args.stages, args.dT, convention)
         if args.dT
         else encoder_spec_for(args.stages, convention)
     )
     decoder = DecoderSpec(args.dTprime, convention)
-    ensemble = _ensemble_from_flags(args.ensemble, args.phi)
+    ensemble = NoiseEnsemble(args.ensemble, args.phi)
     result = success_probability_sweep(encoder, decoder, ensemble, args.samples, args.seed)
 
     if args.format == "json":
@@ -209,17 +196,16 @@ def cmd_sweep(args) -> int:
 def cmd_scaling(args) -> int:
     if args.max_stages > 6:
         raise ValueError("scaling beyond 6 stages is not desk-scale; choose <= 6")
-    convention = _CONVENTIONS[args.convention]
+    convention = BsConvention(args.convention)
     rows = []
     for stages in range(1, args.max_stages + 1):
         encoder = encoder_spec_for(stages, convention)
-        decoder = DecoderSpec(0, convention)
-        table = correction_table(encoder, decoder)
+        table = correction_table(encoder, DecoderSpec(0, convention))
         qubit = random_qubit(np.random.default_rng(args.seed + stages))
         params = sample_noise(HAAR, args.seed + stages)
-        sent = run(build_encoder(encoder), new_state(qubit))
+        sent = run(table.encoder_circuit, new_state(qubit))
         noisy = apply_collective_noise(sent, params, CHANNEL)
-        success = total_success(analyze(run(build_decoder(decoder), noisy), table, qubit))
+        success = total_success(analyze(run(table.decoder_circuit, noisy), table, qubit))
         rows.append((stages, encoder.bins_per_group, encoder.wavepackets, success))
 
     if args.format == "json":
@@ -239,11 +225,11 @@ def cmd_qkd(args) -> int:
     cfg = Bb84Config(
         pulses=args.pulses,
         stages=args.stages,
-        ensemble=_ensemble_from_flags(args.ensemble, args.phi),
+        ensemble=NoiseEnsemble(args.ensemble, args.phi),
         refresh_every=args.refresh,
         eta=args.eta,
         seed=args.seed,
-        convention=_CONVENTIONS[args.convention],
+        convention=BsConvention(args.convention),
     )
     stats = simulate_bb84(cfg)
     print(stats.summary())
@@ -275,14 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="timebinsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    conventions = sorted(c.value for c in BsConvention)
+
     def common(p, convention_default="symmetric"):
-        p.add_argument("--convention", choices=sorted(_CONVENTIONS), default=convention_default)
+        p.add_argument("--convention", choices=conventions, default=convention_default)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("golden", help="closed-form checks of the encode/noise/recombine chain")
-    p.add_argument("--convention", choices=sorted(_CONVENTIONS), default="surface")
+    p.add_argument("--convention", choices=conventions, default="surface")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dT", type=int, default=64, help="group delay in ticks")
     p.add_argument("--encoder-circ", help="check a circuit file instead of the builder")

@@ -1,9 +1,10 @@
-"""Linear optical elements acting on sparse photon states.
+"""Linear optical elements and their maps on sparse amplitude dicts.
 
-Every element is mode-local: it maps amplitudes at one (polarization, tick)
-slot of its wired channels without touching anything else. Phase
-conventions are explicit because they decide which corrections the
-receiver must apply:
+``circuits.apply`` and ``circuits.run`` put them to work on a
+``PhotonState``. Every element is mode-local: it maps amplitudes at one
+(polarization, tick) slot of its wired channels without touching
+anything else. Phase conventions are explicit because they decide which
+corrections the receiver must apply:
 
 * ``BsConvention.SYMMETRIC`` - the unitary 50/50 coupler
   (1/sqrt2) [[1, i], [i, 1]] between (in1, in2) -> (out1, out2).
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .noise import NoiseParams
-from .state import PhotonState, Polarization
+from .state import Polarization
 
 H = Polarization.H
 V = Polarization.V
@@ -37,6 +38,18 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 class BsConvention(Enum):
     SYMMETRIC = "symmetric"
     SURFACE_PHASES = "surface"
+
+
+#: Every element kind and the parameter keys its text form carries.
+ELEMENT_KINDS = {
+    "pbs": (),
+    "bs": ("conv",),
+    "hwp": (),
+    "phase": ("phi",),
+    "delay": ("ticks",),
+    "split": ("ticks",),
+    "noise": ("d1", "g1", "d2", "g2"),
+}
 
 
 class ConventionError(ValueError):
@@ -56,7 +69,7 @@ class Element:
     other kinds are strictly one-in one-out.
     """
 
-    kind: str                      # pbs | bs | hwp | phase | delay | split | noise
+    kind: str                      # a key of ELEMENT_KINDS
     ins: tuple[str, ...]
     outs: tuple[str, ...]
     phi: float = 0.0               # phase shifters
@@ -65,6 +78,8 @@ class Element:
     noise: NoiseParams | None = None
 
     def __post_init__(self):
+        if self.kind not in ELEMENT_KINDS:
+            raise ValueError(f"unknown element kind {self.kind!r}")
         lo, hi = (1, 2) if self.kind in ("pbs", "bs") else (1, 1)
         if not (lo <= len(self.ins) <= hi and lo <= len(self.outs) <= hi):
             raise ValueError(f"{self.kind}: bad arity {len(self.ins)} in / {len(self.outs)} out")
@@ -82,6 +97,11 @@ def _add(amps: dict, mode: tuple, a: complex):
 
 
 def _apply_pbs(amps: dict, in1, in2, out1, out2) -> dict:
+    """Route H straight through (in1->out1, in2->out2) and cross V.
+
+    No reflection phase is applied: the element is a permutation of modes.
+    ``None`` ports are vacuum inputs or dark outputs.
+    """
     out = {}
     for (ch, pol, tick), a in amps.items():
         if ch == in1:
@@ -94,6 +114,7 @@ def _apply_pbs(amps: dict, in1, in2, out1, out2) -> dict:
 
 
 def _apply_bs(amps: dict, in1, in2, out1, out2, convention: BsConvention) -> dict:
+    """50/50 splitter under the chosen phase convention, slot by slot."""
     # in1 -> out2 reflects off the second surface under the surface-phase
     # convention, hence the sign difference.
     r21 = 1j * _INV_SQRT2 if convention is BsConvention.SYMMETRIC else -1j * _INV_SQRT2
@@ -120,6 +141,7 @@ def _apply_bs(amps: dict, in1, in2, out1, out2, convention: BsConvention) -> dic
 
 
 def _apply_hwp(amps: dict, channel: str) -> dict:
+    """Swap H and V on a channel at every tick (the bit-flip plate)."""
     return {
         ((ch, V if pol is H else H, tick) if ch == channel else (ch, pol, tick)): a
         for (ch, pol, tick), a in amps.items()
@@ -127,13 +149,13 @@ def _apply_hwp(amps: dict, channel: str) -> dict:
 
 
 def _apply_phase(amps: dict, channel: str, phi: float) -> dict:
+    """Multiply every amplitude on a channel by exp(i*phi)."""
     w = cmath.exp(1j * phi)
     return {m: (a * w if m[0] == channel else a) for m, a in amps.items()}
 
 
 def _apply_delay(amps: dict, channel: str, ticks: int) -> dict:
-    if ticks < 0:
-        raise ValueError("delay must be >= 0 ticks")
+    """Shift every amplitude on a channel later by a tick count >= 0."""
     return {
         ((ch, pol, tick + ticks) if ch == channel else (ch, pol, tick)): a
         for (ch, pol, tick), a in amps.items()
@@ -141,8 +163,14 @@ def _apply_delay(amps: dict, channel: str, ticks: int) -> dict:
 
 
 def _apply_timebin_splitter(amps: dict, channel: str, ticks: int) -> dict:
-    if ticks < 1:
-        raise ValueError("split interval must be >= 1 tick")
+    """Split each wavepacket into equal halves at t and t + ticks.
+
+    Ideal primitive: unlike a physical unbalanced interferometer it has no
+    second output port, so the full norm stays on the channel. It is an
+    isometry as long as the shifted halves land on empty bins, which holds
+    whenever ``ticks`` is at least the occupied span; overlapping halves
+    add and interfere.
+    """
     out = {}
     for (ch, pol, tick), a in amps.items():
         if ch == channel:
@@ -158,54 +186,6 @@ def _rename_channel(amps: dict, old: str, new: str) -> dict:
     if old == new:
         return amps
     return {((new, pol, tick) if ch == old else (ch, pol, tick)): a for (ch, pol, tick), a in amps.items()}
-
-
-def apply_pbs(state: PhotonState, in1: str, in2: str | None, out1: str | None, out2: str | None) -> PhotonState:
-    """Route H straight through (in1->out1, in2->out2) and cross V.
-
-    No reflection phase is applied: the element is a permutation of modes.
-    ``None`` ports are vacuum inputs or dark outputs.
-    """
-    return PhotonState(_apply_pbs(state.amplitudes, in1, in2, out1, out2))
-
-
-def apply_bs(
-    state: PhotonState,
-    in1: str,
-    in2: str | None,
-    out1: str | None,
-    out2: str | None,
-    convention: BsConvention = BsConvention.SYMMETRIC,
-) -> PhotonState:
-    """50/50 splitter under the chosen phase convention, slot by slot."""
-    return PhotonState(_apply_bs(state.amplitudes, in1, in2, out1, out2, convention))
-
-
-def apply_hwp(state: PhotonState, channel: str) -> PhotonState:
-    """Swap H and V on a channel at every tick (the bit-flip plate)."""
-    return PhotonState(_apply_hwp(state.amplitudes, channel))
-
-
-def apply_phase(state: PhotonState, channel: str, phi: float) -> PhotonState:
-    """Multiply every amplitude on a channel by exp(i*phi)."""
-    return PhotonState(_apply_phase(state.amplitudes, channel, phi))
-
-
-def apply_delay(state: PhotonState, channel: str, ticks: int) -> PhotonState:
-    """Shift every amplitude on a channel later by a tick count >= 0."""
-    return PhotonState(_apply_delay(state.amplitudes, channel, ticks))
-
-
-def apply_timebin_splitter(state: PhotonState, channel: str, ticks: int) -> PhotonState:
-    """Split each wavepacket into equal halves at t and t + ticks.
-
-    Ideal primitive: unlike a physical unbalanced interferometer it has no
-    second output port, so the full norm stays on the channel. It is an
-    isometry as long as the shifted halves land on empty bins, which holds
-    whenever ``ticks`` is at least the occupied span; overlapping halves
-    add and interfere.
-    """
-    return PhotonState(_apply_timebin_splitter(state.amplitudes, channel, ticks))
 
 
 def bs_matrix(convention: BsConvention):

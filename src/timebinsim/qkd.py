@@ -12,23 +12,13 @@ scale the detection efficiency by (N-1)/N.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .analysis import CorrectionTable, correction_table
-from .circuits import (
-    CHANNEL,
-    DecoderSpec,
-    build_decoder,
-    build_encoder,
-    encoder_spec_for,
-    run,
-)
-from .elements import BsConvention
+from .circuits import CHANNEL, DecoderSpec, encoder_spec_for, run
+from .elements import _INV_SQRT2, BsConvention
 from .noise import HAAR, NoiseEnsemble, _apply_collective_noise, sample_noise
 from .state import PhotonState, Polarization, QubitSpec, new_state
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 #: Alice's states, indexed [basis][bit]; basis 0 is H/V, basis 1 diagonal.
 _BB84_STATES = (
@@ -52,6 +42,7 @@ class Bb84Config:
             raise ValueError("pulses, stages, and refresh_every must be positive")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("detector efficiency must be in (0, 1]")
+        encoder_spec_for(self.stages, self.convention)  # rejects a cascade too deep to run
 
 
 @dataclass(frozen=True)
@@ -144,8 +135,7 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
     decoder = DecoderSpec(0, cfg.convention)
     table = correction_table(encoder, decoder)
     gates = _gate_map(table, encoder, decoder)
-    enc_c = build_encoder(encoder)
-    dec_c = build_decoder(decoder)
+    enc_c, dec_c = table.encoder_circuit, table.decoder_circuit
     sent_states = [[run(enc_c, new_state(q)) for q in pair] for pair in _BB84_STATES]
 
     detected = 0

@@ -26,9 +26,6 @@ class Polarization(str, Enum):
     H = "H"
     V = "V"
 
-    def flipped(self) -> "Polarization":
-        return Polarization.V if self is Polarization.H else Polarization.H
-
 
 H = Polarization.H
 V = Polarization.V
@@ -42,13 +39,10 @@ class Mode(NamedTuple):
     tick: int
 
     def sort_key(self) -> tuple[str, int, str]:
-        # Total order is channel, then tick, then polarization.
-        return (self.channel, self.tick, self.pol.value)
-
-
-def _mode_key(mode: tuple) -> tuple[str, int, str]:
-    channel, pol, tick = mode
-    return (channel, tick, pol.value)
+        # Total order is channel, then tick, then polarization. Unpacking
+        # lets plain (channel, pol, tick) keys use it too.
+        channel, pol, tick = self
+        return (channel, tick, pol.value)
 
 
 @dataclass(frozen=True)
@@ -131,13 +125,6 @@ class PhotonState:
     def amplitude(self, channel: str, pol: Polarization, tick: int) -> complex:
         return self.amplitudes.get((channel, Polarization(pol), tick), 0j)
 
-    def channels(self) -> set[str]:
-        return {m[0] for m in self.amplitudes}
-
-    def modes(self) -> list[Mode]:
-        """The occupied modes in their total order."""
-        return sorted((Mode(*m) for m in self.amplitudes), key=Mode.sort_key)
-
     def norm_sq(self) -> float:
         """Total probability carried by the state; 0 for the empty state."""
         return sum(a.real * a.real + a.imag * a.imag for a in self.amplitudes.values())
@@ -163,7 +150,7 @@ class PhotonState:
     def dump(self) -> str:
         """Deterministic text dump, one mode per line: channel,pol,tick,re,im."""
         lines = []
-        for mode in sorted(self.amplitudes, key=_mode_key):
+        for mode in sorted(self.amplitudes, key=Mode.sort_key):
             channel, pol, tick = mode
             a = self.amplitudes[mode]
             lines.append(f"{channel},{pol.value},{tick},{a.real:.17g},{a.imag:.17g}")
@@ -178,14 +165,6 @@ def new_state(qubit: QubitSpec, channel: str = "in") -> PhotonState:
             (channel, V, 0): qubit.beta,
         }
     )
-
-
-def norm_sq(state: PhotonState) -> float:
-    return state.norm_sq()
-
-
-def restrict(state: PhotonState, channel: str, window: tuple[int, int]) -> PhotonState:
-    return state.restrict(channel, window)
 
 
 def qubit_amplitudes(state: PhotonState) -> tuple[complex, complex]:

@@ -4,17 +4,8 @@ import math
 
 import numpy as np
 
-from timebinsim.circuits import Circuit
-from timebinsim.elements import (
-    BsConvention,
-    Element,
-    apply_bs,
-    apply_delay,
-    apply_hwp,
-    apply_pbs,
-    apply_phase,
-    apply_timebin_splitter,
-)
+from timebinsim.circuits import Circuit, apply
+from timebinsim.elements import BsConvention, Element
 from timebinsim.noise import HAAR, sample_noise
 
 
@@ -25,20 +16,21 @@ def random_lossless_chain(rng, state, channels):
         ch = str(rng.choice(channels))
         other = str(rng.choice([c for c in channels if c != ch]))
         if pick == 0:
-            state = apply_hwp(state, ch)
+            el = Element("hwp", (ch,), (ch,))
         elif pick == 1:
-            state = apply_phase(state, ch, float(rng.uniform(0, 2 * math.pi)))
+            el = Element("phase", (ch,), (ch,), phi=float(rng.uniform(0, 2 * math.pi)))
         elif pick == 2:
-            state = apply_delay(state, ch, int(rng.integers(0, 5)))
+            el = Element("delay", (ch,), (ch,), ticks=int(rng.integers(0, 5)))
         elif pick == 3:
             # splitter interval above the occupied span, where it is an isometry
             ticks_on = [t for (c, _p, t) in state.amplitudes if c == ch]
             span = max(ticks_on) - min(ticks_on) + 1 if ticks_on else 1
-            state = apply_timebin_splitter(state, ch, span + int(rng.integers(0, 3)))
+            el = Element("split", (ch,), (ch,), ticks=span + int(rng.integers(0, 3)))
         elif pick == 4:
-            state = apply_pbs(state, ch, other, ch, other)
+            el = Element("pbs", (ch, other), (ch, other))
         else:
-            state = apply_bs(state, ch, other, ch, other, BsConvention.SYMMETRIC)
+            el = Element("bs", (ch, other), (ch, other), convention=BsConvention.SYMMETRIC)
+        state = apply(el, state)
     return state
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from timebinsim.circuits import (
     CHANNEL,
+    MAX_STAGES,
     Circuit,
     CircuitError,
     DecoderSpec,
@@ -202,6 +203,13 @@ def test_encoder_spec_validation():
     with pytest.raises(CircuitError):
         EncoderSpec(stages=5, dT=64)  # default too small at this depth
     assert encoder_spec_for(5).dT == 128
+    # too deep to run; only rejected depths are tried
+    assert MAX_STAGES >= 6  # the deepest cascade the scaling table uses
+    for stages in (MAX_STAGES + 1, 40):
+        with pytest.raises(CircuitError, match="exceed"):
+            encoder_spec_for(stages)
+        with pytest.raises(CircuitError, match="exceed"):
+            EncoderSpec(stages, dT=2 ** (stages + 2))
 
 
 def test_decoder_spec_validation():

@@ -119,6 +119,15 @@ def test_scaling_rejects_excessive_depth(capsys):
     assert "6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "qkd"])
+def test_excessive_depth_exits_2_writing_nothing(command, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert main([command, "--stages", "40", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "exceed" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_qkd_summary_and_csv(tmp_path, capsys):
     out = tmp_path / "qkd.csv"
     assert main(["qkd", "--pulses", "300", "--seed", "2", "--out", str(out)]) == 0

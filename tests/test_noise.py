@@ -14,7 +14,8 @@ from timebinsim.noise import (
     sample_noise,
 )
 from timebinsim.state import PhotonState, random_qubit, random_state
-from timebinsim.elements import apply_delay
+from timebinsim.circuits import apply
+from timebinsim.elements import Element
 
 
 def two_group_train(alpha, beta, dT=64):
@@ -132,8 +133,9 @@ def test_noise_commutes_with_delay():
     rng = np.random.default_rng(4)
     s = random_state(rng, ["chan"], range(0, 6), modes=7)
     p = sample_noise(HAAR, 11)
-    a = apply_delay(apply_collective_noise(s, p, "chan"), "chan", 5)
-    b = apply_collective_noise(apply_delay(s, "chan", 5), p, "chan")
+    delay = Element("delay", ("chan",), ("chan",), ticks=5)
+    a = apply(delay, apply_collective_noise(s, p, "chan"))
+    b = apply_collective_noise(apply(delay, s), p, "chan")
     assert a.max_deviation(b) < 1e-15
 
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from timebinsim.circuits import CircuitError
 from timebinsim.elements import BsConvention
 from timebinsim.noise import HAAR, IDENTITY
 from timebinsim.qkd import Bb84Config, Bb84Stats, effective_efficiency, simulate_bb84
@@ -29,6 +30,8 @@ def test_config_validation():
         Bb84Config(pulses=10, eta=0.0)
     with pytest.raises(ValueError):
         Bb84Config(pulses=10, refresh_every=0)
+    with pytest.raises(CircuitError, match="exceed"):
+        Bb84Config(pulses=10, stages=40)
 
 
 def test_identity_channel_short_run():

@@ -10,11 +10,9 @@ from timebinsim.state import (
     QubitSpec,
     fidelity_with_qubit,
     new_state,
-    norm_sq,
     qubit_amplitudes,
     random_qubit,
     random_state,
-    restrict,
     superpose,
 )
 
@@ -57,7 +55,7 @@ def test_qubit_spec_rejects_unnormalized():
 
 def test_norm_sq_empty_state():
     assert PhotonState().norm_sq() == 0.0
-    assert norm_sq(PhotonState({})) == 0.0
+    assert PhotonState({}).norm_sq() == 0.0
 
 
 def test_norm_sq_basis():
@@ -72,14 +70,14 @@ def test_norm_sq_eight_bin_train():
 
 def test_restrict_single_bin_of_train():
     q = random_qubit(np.random.default_rng(2))
-    sub = restrict(eight_bin_train(q.alpha, q.beta), "1", (0, 0))
+    sub = eight_bin_train(q.alpha, q.beta).restrict("1", (0, 0))
     assert len(sub) == 1
     assert sub.amplitude("1", "H", 0) == pytest.approx(q.alpha / 2)
 
 
 def test_restrict_unused_channel_is_empty():
     q = random_qubit(np.random.default_rng(3))
-    sub = restrict(eight_bin_train(q.alpha, q.beta), "nowhere", (0, 100))
+    sub = eight_bin_train(q.alpha, q.beta).restrict("nowhere", (0, 100))
     assert len(sub) == 0
     assert sub.norm_sq() == 0.0
 
@@ -93,7 +91,7 @@ def test_restrict_recombined_bin_has_common_scalar():
         ("5", "V", 0): a * S2, ("5", "V", 1): b * S2, ("5", "V", 2): a * S2, ("5", "V", 3): b * S2,
         ("5", "H", 1): a * S2, ("5", "H", 2): b * S2, ("5", "H", 3): a * S2, ("5", "H", 4): b * S2,
     })
-    sub = restrict(out, "5", (1, 1))
+    sub = out.restrict("5", (1, 1))
     a_h, a_v = qubit_amplitudes(sub)
     assert a_h == pytest.approx(a * S2)
     assert a_v == pytest.approx(b * S2)
@@ -104,7 +102,7 @@ def test_restrict_partition_completeness():
     for _ in range(25):
         s = random_state(rng, ["a", "b", "c"], range(0, 12), modes=14)
         total = sum(
-            restrict(s, ch, (t, t)).norm_sq() for ch in ("a", "b", "c") for t in range(0, 12)
+            s.restrict(ch, (t, t)).norm_sq() for ch in ("a", "b", "c") for t in range(0, 12)
         )
         assert total == pytest.approx(s.norm_sq(), abs=1e-12)
 

@@ -106,7 +106,8 @@ class CorrectionTable:
     """Pauli per (branch, bin), bins counted from each group's arrival.
 
     Also carries the encoder and decoder circuits it was derived from, so
-    a caller transmits through the same link without building it again.
+    a caller transmits through the same link without building it again,
+    and the decoded basis states, from which the link's linear map is read.
     """
 
     encoder: EncoderSpec
@@ -114,6 +115,9 @@ class CorrectionTable:
     entries: dict  # (BranchId, int) -> Correction
     encoder_circuit: Circuit
     decoder_circuit: Circuit
+    #: Decoded (H input, V input) under the identity channel, then under
+    #: the bit flip: each accepted bin lit with a unit branch coefficient.
+    basis_outputs: tuple[tuple[PhotonState, PhotonState], ...]
 
     @property
     def bins_per_group(self) -> int:
@@ -130,14 +134,17 @@ def _bin_vectors(state: PhotonState, port: str, offset: int, n: int) -> dict:
     return bins
 
 
-def _find_pauli(m: np.ndarray) -> Correction | None:
-    scale = np.abs(m).max()
-    for correction, pauli in _PAULI.items():
-        r = pauli @ m
-        if abs(r[0, 1]) <= 1e-9 * scale and abs(r[1, 0]) <= 1e-9 * scale \
-                and abs(r[0, 0] - r[1, 1]) <= 1e-9 * scale:
-            return correction
-    return None
+def _find_paulis(maps: np.ndarray) -> list:
+    """Per 2x2 map m, the first Pauli P with P @ m proportional to the identity, else None."""
+    scale = 1e-9 * np.abs(maps).max(axis=(1, 2))
+    found = np.full(len(maps), -1)
+    for index, pauli in enumerate(_PAULI.values()):
+        r = pauli @ maps
+        match = (np.abs(r[:, 0, 1]) <= scale) & (np.abs(r[:, 1, 0]) <= scale) \
+            & (np.abs(r[:, 0, 0] - r[:, 1, 1]) <= scale)
+        found[match & (found < 0)] = index
+    corrections = tuple(_PAULI)
+    return [corrections[i] if i >= 0 else None for i in found]
 
 
 def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTable:
@@ -155,11 +162,14 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
     n = encoder.bins_per_group
 
     maps: dict = {}
+    outputs = []
     for params in (NoiseParams.identity(), NoiseParams.bit_flip()):
+        pair = []
         for col, qubit in enumerate((QubitSpec.horizontal(), QubitSpec.vertical())):
             sent = run(enc_c, new_state(qubit))
             noisy = PhotonState(_apply_collective_noise(sent.amplitudes, params, {CHANNEL}))
             out = run(dec_c, noisy)
+            pair.append(out)
             for branch in BRANCHES:
                 if abs(branch.coefficient(params)) == 0.0:
                     continue
@@ -168,20 +178,23 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
                     m = maps.setdefault((branch, t), np.zeros((2, 2), dtype=complex))
                     m[0, col] = a_h
                     m[1, col] = a_v
+        outputs.append(tuple(pair))
 
+    stacked = np.array(list(maps.values()))
+    singulars = np.linalg.svd(stacked, compute_uv=False)
+    # rank-deficient edge bins have lost information and are discarded
+    full_rank = singulars[:, -1] > 1e-9 * singulars[:, 0]
     entries = {}
-    for (branch, t), m in maps.items():
-        singulars = np.linalg.svd(m, compute_uv=False)
-        if singulars[-1] <= 1e-9 * singulars[0]:
-            continue  # rank-deficient edge bin: information lost, discard
-        correction = _find_pauli(m)
+    for (branch, t), accept, correction in zip(maps, full_rank, _find_paulis(stacked)):
+        if not accept:
+            continue
         if correction is None:
             raise CorrectionDerivationError(
                 f"bin {t} of branch {branch.name} is not Pauli-correctable; "
                 f"the element conventions are inconsistent"
             )
         entries[(branch, t)] = correction
-    return CorrectionTable(encoder, decoder, entries, enc_c, dec_c)
+    return CorrectionTable(encoder, decoder, entries, enc_c, dec_c, tuple(outputs))
 
 
 class AcceptedBin(NamedTuple):

@@ -1,9 +1,11 @@
 """BB84 over the collectively noisy fiber, pulse by pulse.
 
 Each pulse carries one of the four BB84 states through the full
-encode/corrupt/decode chain. Detection is sampled from the exact output
-bin probabilities scaled by the baseline detector efficiency, the bin's
-derived Pauli is applied, and the receiver measures in a random basis.
+encode/corrupt/decode chain, compiled once per link into one corrected
+2x2 map per accepted bin and evaluated for a block of pulses at once.
+Detection is sampled from the exact output bin probabilities scaled by
+the baseline detector efficiency, the bin's derived Pauli is applied,
+and the receiver measures in a random basis.
 Because every accepted bin reconstructs the sent state exactly, sifted
 errors are structurally impossible: the error rate is zero, not small,
 for every channel draw. The only cost is the discarded edge bins, which
@@ -14,11 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import CorrectionTable, correction_table
-from .circuits import CHANNEL, DecoderSpec, encoder_spec_for, run
+import numpy as np
+
+from .analysis import BRANCHES, CorrectionTable, correction_table
+from .circuits import DecoderSpec, encoder_spec_for
+# ``run`` and ``_apply_collective_noise`` are the per-pulse chain that the
+# compiled map stands for; they stay bound here for the reference oracle in
+# tests/test_qkd.py and for the benchmark's tracer (perfbench/spans.py).
+from .circuits import run  # noqa: F401
 from .elements import _INV_SQRT2, BsConvention
-from .noise import HAAR, NoiseEnsemble, _apply_collective_noise, sample_noise
-from .state import PhotonState, Polarization, QubitSpec, new_state
+from .noise import HAAR, NoiseEnsemble, _apply_collective_noise, sample_noise  # noqa: F401
+from .state import PhotonState, Polarization, QubitSpec
 
 #: Alice's states, indexed [basis][bit]; basis 0 is H/V, basis 1 diagonal.
 _BB84_STATES = (
@@ -88,6 +96,10 @@ def effective_efficiency(stages: int, eta: float) -> float:
 
 _MASK64 = (1 << 64) - 1
 
+#: Pulses evaluated together. Every per-pulse array is 1-D, so a block
+#: holds O(_BLOCK_PULSES) numbers whatever the cascade depth.
+_BLOCK_PULSES = 1 << 12
+
 
 def _mix64(x: int) -> int:
     # splitmix64 finalizer: cheap, stable, well-distributed
@@ -115,7 +127,7 @@ def _gate_map(table: CorrectionTable, encoder, decoder) -> dict:
 
 
 def _detection_events(out: PhotonState, gates: dict) -> list:
-    """(probability, corrected H, corrected V) per accepted output bin."""
+    """((port, tick), probability, corrected H, corrected V) per accepted output bin."""
     bins: dict = {}
     for (ch, pol, tick), a in out.amplitudes.items():
         gate = gates.get((ch, tick))
@@ -123,68 +135,98 @@ def _detection_events(out: PhotonState, gates: dict) -> list:
             pair = bins.setdefault((ch, tick), [0j, 0j, gate])
             pair[0 if pol is Polarization.H else 1] = a
     events = []
-    for a_h, a_v, gate in bins.values():
+    for key, (a_h, a_v, gate) in bins.items():
         c_h, c_v = gate.apply(a_h, a_v)
-        events.append((abs(c_h) ** 2 + abs(c_v) ** 2, c_h, c_v))
+        events.append((key, abs(c_h) ** 2 + abs(c_v) ** 2, c_h, c_v))
     return events
 
 
+def _compile_link(table: CorrectionTable, encoder, decoder) -> tuple[np.ndarray, np.ndarray]:
+    """The link's corrected map, bin by accepted bin.
+
+    Returns, per bin, the index into ``BRANCHES`` of the noise coefficient
+    its amplitude scales with, and the corrected 2x2 map from the sent
+    (H, V) amplitudes at unit coefficient. The decoded state is linear in
+    the qubit and in the noise coefficients, and the branch windows are
+    disjoint, so a pulse's corrected amplitudes in bin j are
+    ``coefficient[branch[j]] * maps[j] @ qubit``.
+    """
+    gates = _gate_map(table, encoder, decoder)
+    branch_at = {
+        (b.port, b.offset(encoder, decoder) + t): BRANCHES.index(b) for b, t in table.entries
+    }
+    maps: dict = {}  # (port, tick) -> [H->H, V->H, H->V, V->V]
+    for pair in table.basis_outputs:
+        for col, out in enumerate(pair):
+            for key, _p, c_h, c_v in _detection_events(out, gates):
+                m = maps.setdefault(key, [0j, 0j, 0j, 0j])
+                m[col] += c_h
+                m[2 + col] += c_v
+    branch = np.array([branch_at[key] for key in maps], dtype=np.intp)
+    return branch, np.array(list(maps.values())).reshape(-1, 2, 2)
+
+
 def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
-    """Monte Carlo BB84 run; bit-for-bit reproducible for a given config."""
+    """Monte Carlo BB84 run; bit-for-bit reproducible for a given config.
+
+    Pulses are evaluated ``_BLOCK_PULSES`` at a time as 1-D numpy arrays
+    through the link's compiled map; each pulse draws the same counter-
+    based uniforms (seed, pulse, draw index) it would draw alone.
+    """
     encoder = encoder_spec_for(cfg.stages, cfg.convention)
     decoder = DecoderSpec(0, cfg.convention)
     table = correction_table(encoder, decoder)
-    gates = _gate_map(table, encoder, decoder)
-    enc_c, dec_c = table.encoder_circuit, table.decoder_circuit
-    sent_states = [[run(enc_c, new_state(q)) for q in pair] for pair in _BB84_STATES]
+    branch, maps = _compile_link(table, encoder, decoder)
+    # corrected amplitudes per (Alice's state 2 * basis + bit, bin, H/V) at unit coefficient
+    qubits = np.array([(q.alpha, q.beta) for pair in _BB84_STATES for q in pair])
+    images = np.einsum("jab,sb->sja", maps, qubits)
+    weights = (np.abs(images) ** 2).sum(axis=2).T  # (bin, state) probability at unit coefficient
 
-    detected = 0
-    sifted = 0
-    errors = 0
-    params = None
-    params_index = -1
+    # the same draws as cfg.refresh_every, small enough for uint64 arithmetic
+    refresh = min(cfg.refresh_every, cfg.pulses)
+    detected = sifted = errors = 0
+    carried = None  # (draw, coefficients) of the previous block's last channel draw
+    for start in range(0, cfg.pulses, _BLOCK_PULSES):
+        pulse = np.arange(start, min(start + _BLOCK_PULSES, cfg.pulses), dtype=np.uint64)
+        first, last = start // refresh, int(pulse[-1]) // refresh
+        coefficients = []
+        for index in range(first, last + 1):
+            if carried is not None and carried[0] == index:
+                coefficients.append(carried[1])
+            else:
+                params = sample_noise(cfg.ensemble, _derived_seed(cfg.seed, index, domain=1))
+                coefficients.append([b.coefficient(params) for b in BRANCHES])
+        carried = (last, coefficients[-1])
+        coefficients = np.array(coefficients, dtype=complex)  # (draw, branch)
+        draw = (pulse // refresh - first).astype(np.intp)
+        branch_weight = (np.abs(coefficients) ** 2).T[:, draw]  # (branch, pulse)
 
-    for pulse in range(cfg.pulses):
-        j = pulse // cfg.refresh_every
-        if j != params_index:
-            params = sample_noise(cfg.ensemble, _derived_seed(cfg.seed, j, domain=1))
-            params_index = j
         alice_basis = _uniform(cfg.seed, pulse, 0) < 0.5
         alice_bit = _uniform(cfg.seed, pulse, 1) < 0.5
-
-        sent = sent_states[alice_basis][alice_bit]
-        noisy = PhotonState._from_clean(_apply_collective_noise(sent.amplitudes, params, {CHANNEL}))
-        out = run(dec_c, noisy)
-
+        state = 2 * alice_basis + alice_bit
         u = _uniform(cfg.seed, pulse, 2) / cfg.eta
-        hit = None
-        for p, c_h, c_v in _detection_events(out, gates):
-            if u < p:
-                hit = (c_h, c_v)
-                break
+        hit = np.full(len(pulse), -1)
+        for j, k in enumerate(branch):
+            p = weights[j][state] * branch_weight[k]
+            hit[(hit < 0) & (u < p)] = j
             u -= p
-        if hit is None:
-            continue
-        detected += 1
 
-        bob_basis = _uniform(cfg.seed, pulse, 3) < 0.5
-        if bob_basis != alice_basis:
-            continue
-        sifted += 1
-        c_h, c_v = hit
-        norm = abs(c_h) ** 2 + abs(c_v) ** 2
-        if bob_basis:
-            p_one = abs((c_h - c_v) * _INV_SQRT2) ** 2 / norm
-        else:
-            p_one = abs(c_v) ** 2 / norm
+        found = np.flatnonzero(hit >= 0)
+        detected += len(found)
+        bob_basis = _uniform(cfg.seed, pulse[found], 3) < 0.5
+        found = found[bob_basis == alice_basis[found]]
+        sifted += len(found)
+
+        hit_bin = hit[found]
+        c_h, c_v = coefficients[draw[found], branch[hit_bin]] * images[state[found], hit_bin].T
+        norm = np.abs(c_h) ** 2 + np.abs(c_v) ** 2
+        p_one = np.where(alice_basis[found], np.abs((c_h - c_v) * _INV_SQRT2) ** 2,
+                         np.abs(c_v) ** 2) / norm
         # amplitudes below tolerance are exact zeros physically; clamping
         # keeps impossible outcomes impossible despite float residue
-        if p_one < 1e-12:
-            p_one = 0.0
-        elif p_one > 1.0 - 1e-12:
-            p_one = 1.0
-        bob_bit = _uniform(cfg.seed, pulse, 4) < p_one
-        if bob_bit != alice_bit:
-            errors += 1
+        p_one[p_one < 1e-12] = 0.0
+        p_one[p_one > 1.0 - 1e-12] = 1.0
+        bob_bit = _uniform(cfg.seed, pulse[found], 4) < p_one
+        errors += int(np.count_nonzero(bob_bit != alice_bit[found]))
 
     return Bb84Stats(sent=cfg.pulses, detected=detected, sifted=sifted, errors=errors)

@@ -217,12 +217,15 @@ def test_criterion_9_qkd_harness():
 
     stats = simulate_bb84(Bb84Config(pulses=pulses, stages=1, ensemble=HAAR, eta=1.0, seed=1234))
     assert stats.qber == 0.0
+    # counts of the per-pulse interpreter, which the batched run must reproduce exactly
+    assert (stats.detected, stats.sifted, stats.errors) == (75032, 37440, 0)
     p = 0.75
     sigma = math.sqrt(p * (1 - p) / pulses)
     assert abs(stats.detection_rate - p) < 4 * sigma
 
     stats2 = simulate_bb84(Bb84Config(pulses=pulses, stages=2, ensemble=HAAR, eta=0.6, seed=4321))
     assert stats2.qber == 0.0
+    assert (stats2.detected, stats2.sifted, stats2.errors) == (52584, 26374, 0)
     p2 = effective_efficiency(2, 0.6)
     sigma2 = math.sqrt(p2 * (1 - p2) / pulses)
     assert abs(stats2.detection_rate - p2) < 4 * sigma2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _circgen import random_circuit
 from timebinsim.circuits import (
     CHANNEL,
     MAX_STAGES,
@@ -19,7 +20,7 @@ from timebinsim.circuits import (
     run,
     transmit,
 )
-from timebinsim.elements import BsConvention, Element
+from timebinsim.elements import BsConvention, ConventionError, Element
 from timebinsim.noise import NoiseParams, sample_noise, HAAR
 from timebinsim.state import (
     PhotonState,
@@ -136,6 +137,24 @@ def test_run_is_linear():
         left = run(enc, superpose((a, s1), (b, s2)))
         right = superpose((a, run(enc, s1)), (b, run(enc, s2)))
         assert left.max_deviation(right) < 1e-12
+
+    # the property the compiled BB84 map rests on, on random circuits too
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(60):
+        circuit = random_circuit(rng)
+        s1 = random_state(rng, ["c0"], range(0, 6), modes=3)
+        s2 = random_state(rng, ["c0"], range(0, 6), modes=3)
+        a = complex(rng.normal(), rng.normal())
+        b = complex(rng.normal(), rng.normal())
+        try:
+            left = run(circuit, superpose((a, s1), (b, s2)))
+            right = superpose((a, run(circuit, s1)), (b, run(circuit, s2)))
+        except ConventionError:
+            continue
+        assert left.max_deviation(right) < 1e-12
+        checked += 1
+    assert checked >= 40
 
 
 def test_empty_circuit_is_identity():

@@ -1,11 +1,74 @@
 import math
 
+import numpy as np
 import pytest
 
-from timebinsim.circuits import CircuitError
-from timebinsim.elements import BsConvention
-from timebinsim.noise import HAAR, IDENTITY
+from timebinsim import qkd
+from timebinsim.analysis import BRANCHES, Correction, correction_table
+from timebinsim.circuits import CHANNEL, CircuitError, DecoderSpec, encoder_spec_for, transmit
+from timebinsim.elements import _INV_SQRT2, BsConvention
+from timebinsim.noise import GENERAL, HAAR, IDENTITY, dephasing, sample_noise
 from timebinsim.qkd import Bb84Config, Bb84Stats, effective_efficiency, simulate_bb84
+from timebinsim.state import PhotonState, new_state, random_qubit
+
+
+def reference_bb84(cfg: Bb84Config) -> tuple[int, int, int]:
+    """(detected, sifted, errors) with every pulse run through the sparse interpreter.
+
+    The per-pulse loop the batched ``simulate_bb84`` replaces, kept as its
+    oracle; it looks ``_gate_map`` up on the module, as the batched path does.
+    """
+    encoder = encoder_spec_for(cfg.stages, cfg.convention)
+    decoder = DecoderSpec(0, cfg.convention)
+    table = correction_table(encoder, decoder)
+    gates = qkd._gate_map(table, encoder, decoder)
+    sent_states = [[qkd.run(table.encoder_circuit, new_state(q)) for q in pair]
+                   for pair in qkd._BB84_STATES]
+    detected = sifted = errors = 0
+    params, params_index = None, -1
+    for pulse in range(cfg.pulses):
+        j = pulse // cfg.refresh_every
+        if j != params_index:
+            params = qkd.sample_noise(cfg.ensemble, qkd._derived_seed(cfg.seed, j, domain=1))
+            params_index = j
+        alice_basis = qkd._uniform(cfg.seed, pulse, 0) < 0.5
+        alice_bit = qkd._uniform(cfg.seed, pulse, 1) < 0.5
+        sent = sent_states[alice_basis][alice_bit]
+        noisy = PhotonState._from_clean(
+            qkd._apply_collective_noise(sent.amplitudes, params, {CHANNEL}))
+        out = qkd.run(table.decoder_circuit, noisy)
+
+        u = qkd._uniform(cfg.seed, pulse, 2) / cfg.eta
+        hit = None
+        for _key, p, c_h, c_v in qkd._detection_events(out, gates):
+            if u < p:
+                hit = (c_h, c_v)
+                break
+            u -= p
+        if hit is None:
+            continue
+        detected += 1
+        bob_basis = qkd._uniform(cfg.seed, pulse, 3) < 0.5
+        if bob_basis != alice_basis:
+            continue
+        sifted += 1
+        c_h, c_v = hit
+        norm = abs(c_h) ** 2 + abs(c_v) ** 2
+        if bob_basis:
+            p_one = abs((c_h - c_v) * _INV_SQRT2) ** 2 / norm
+        else:
+            p_one = abs(c_v) ** 2 / norm
+        if p_one < 1e-12:
+            p_one = 0.0
+        elif p_one > 1.0 - 1e-12:
+            p_one = 1.0
+        if (qkd._uniform(cfg.seed, pulse, 4) < p_one) != alice_bit:
+            errors += 1
+    return detected, sifted, errors
+
+
+def counts(stats: Bb84Stats) -> tuple[int, int, int]:
+    return stats.detected, stats.sifted, stats.errors
 
 
 def test_effective_efficiency_values():
@@ -66,6 +129,10 @@ def test_refresh_period_does_not_matter_for_qber():
             Bb84Config(pulses=2000, ensemble=HAAR, refresh_every=refresh, seed=3)
         )
         assert stats.qber == 0.0
+    # any period of at least the run length is one channel draw, also beyond 64 bits
+    one_draw = [simulate_bb84(Bb84Config(pulses=2000, ensemble=HAAR, refresh_every=r, seed=3))
+                for r in (2000, 2**70)]
+    assert one_draw[0] == one_draw[1]
 
 
 def test_deterministic_per_seed():
@@ -90,3 +157,63 @@ def test_stats_accessors_and_csv():
     assert stats.csv_row().startswith("100,40,0,")
     empty = Bb84Stats(sent=10, detected=0, sifted=0, errors=0)
     assert empty.qber == 0.0  # no sifted bits means no error rate, by convention
+
+
+@pytest.mark.parametrize("stages", [1, 3])
+@pytest.mark.parametrize("convention", list(BsConvention))
+def test_compiled_bins_match_the_interpreter(convention, stages):
+    encoder, decoder = encoder_spec_for(stages, convention), DecoderSpec(0, convention)
+    table = correction_table(encoder, decoder)
+    branch, maps = qkd._compile_link(table, encoder, decoder)
+    gates = qkd._gate_map(table, encoder, decoder)
+    rng = np.random.default_rng(stages)
+    for seed in range(5):
+        params = sample_noise(GENERAL, seed)
+        q = random_qubit(rng)
+        coefficients = np.array([b.coefficient(params) for b in BRANCHES])
+        compiled = coefficients[branch, None] * (maps @ np.array([q.alpha, q.beta]))
+        events = qkd._detection_events(transmit(q, encoder, decoder, params), gates)
+        # bins are compared order-free: by their probabilities and their summed amplitudes
+        assert len(events) == len(compiled)
+        assert sorted((np.abs(compiled) ** 2).sum(axis=1)) == pytest.approx(
+            sorted(p for _key, p, _h, _v in events), abs=1e-12)
+        assert compiled.sum(axis=0) == pytest.approx(
+            np.sum([(c_h, c_v) for _key, _p, c_h, c_v in events], axis=0), abs=1e-12)
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+@pytest.mark.parametrize("convention", list(BsConvention))
+@pytest.mark.parametrize("ensemble", [IDENTITY, HAAR, GENERAL, dephasing(1.0)],
+                         ids=lambda e: e.kind)
+def test_batched_counts_equal_the_per_pulse_interpreter(ensemble, convention, stages, monkeypatch):
+    # 80 pulses in blocks of 32: channel draws of 7 and 50 pulses straddle block edges
+    monkeypatch.setattr(qkd, "_BLOCK_PULSES", 32)
+    for refresh in (1, 7, 50):
+        for eta in (1.0, 0.3):
+            cfg = Bb84Config(pulses=80, stages=stages, ensemble=ensemble, refresh_every=refresh,
+                             eta=eta, seed=11 * stages + refresh, convention=convention)
+            assert counts(simulate_bb84(cfg)) == reference_bb84(cfg), cfg
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 1234, -1, -5, 2**63, 2**64 - 1, 2**70 + 3])
+def test_uniform_over_pulse_arrays_is_the_scalar_stream(seed):
+    pulses = list(range(2000)) + list(range(2**64 - 50, 2**64))
+    for which in range(5):
+        batched = qkd._uniform(seed, np.array(pulses, dtype=np.uint64), which)
+        assert batched.tolist() == [qkd._uniform(seed, p, which) for p in pulses]
+
+
+def test_a_wrong_correction_gives_sifted_errors(monkeypatch):
+    original = qkd._gate_map
+
+    def one_pauli_flipped(table, encoder, decoder):
+        gates = original(table, encoder, decoder)
+        key = min(gates)
+        gates[key] = Correction.BIT_FLIP if gates[key] is Correction.IDENTITY else Correction.IDENTITY
+        return gates
+
+    monkeypatch.setattr(qkd, "_gate_map", one_pauli_flipped)
+    cfg = Bb84Config(pulses=600, ensemble=HAAR, seed=8)
+    stats = simulate_bb84(cfg)
+    assert stats.errors > 0
+    assert counts(stats) == reference_bb84(cfg)

@@ -12,21 +12,17 @@ import json
 import numpy as np
 
 from timebinsim import (
-    CHANNEL,
     DecoderSpec,
     EncoderSpec,
     HAAR,
     analyze,
-    apply_collective_noise,
     correction_table,
-    new_state,
     random_qubit,
-    run,
     sample_noise,
     total_success,
 )
 
-# the table also carries the encoder and decoder circuits it was derived from
+# the table is the link: its circuits, its detection windows and its corrections
 table = correction_table(EncoderSpec(stages=1, dT=64), DecoderSpec())
 
 print("derived corrections (branch, bin) -> Pauli:")
@@ -38,9 +34,7 @@ params = sample_noise(HAAR, seed=7)
 print(f"\nchannel draw: d1={params.d1:.3f} g1={params.g1:.3f} "
       f"d2={params.d2:.3f} g2={params.g2:.3f}")
 
-sent = run(table.encoder_circuit, new_state(qubit))
-noisy = apply_collective_noise(sent, params, CHANNEL)
-reports = analyze(run(table.decoder_circuit, noisy), table, qubit)
+reports = analyze(table.transmit(qubit, params), table, qubit)
 
 for r in reports:
     print(f"\nbranch {r.branch.name} (port {r.port}, offset {r.offset}):")

@@ -8,16 +8,12 @@ climbs as (N-1)/N toward one.
 import numpy as np
 
 from timebinsim import (
-    CHANNEL,
     DecoderSpec,
     HAAR,
     analyze,
-    apply_collective_noise,
     correction_table,
     encoder_spec_for,
-    new_state,
     random_qubit,
-    run,
     sample_noise,
     total_success,
 )
@@ -28,8 +24,6 @@ for stages in range(1, 6):
     table = correction_table(encoder, DecoderSpec())
     qubit = random_qubit(np.random.default_rng(stages))
     params = sample_noise(HAAR, stages)
-    sent = run(table.encoder_circuit, new_state(qubit))
-    out = run(table.decoder_circuit, apply_collective_noise(sent, params, CHANNEL))
-    success = total_success(analyze(out, table, qubit))
+    success = total_success(analyze(table.transmit(qubit, params), table, qubit))
     n = encoder.bins_per_group
     print(f"{stages:>6} {n:>10} {encoder.wavepackets:>11} {success:>18.15f} {(n - 1) / n:>18.15f}")

@@ -47,7 +47,6 @@ from .circuits import (
     physical_splitter_elements,
     recombiner_elements,
     run,
-    transmit,
 )
 from .circfile import (
     CircuitTextError,

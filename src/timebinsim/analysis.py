@@ -75,10 +75,6 @@ class Correction(Enum):
     PHASE_FLIP = "phase_flip"
     BIT_PHASE_FLIP = "bit_phase_flip"
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return _PAULI[self]
-
     def apply(self, a_h: complex, a_v: complex) -> tuple[complex, complex]:
         if self is Correction.IDENTITY:
             return a_h, a_v
@@ -103,11 +99,10 @@ class CorrectionDerivationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CorrectionTable:
-    """Pauli per (branch, bin), bins counted from each group's arrival.
+    """The link: its circuits, its detection windows and the Pauli per (branch, bin).
 
-    Also carries the encoder and decoder circuits it was derived from, so
-    a caller transmits through the same link without building it again,
-    and the decoded basis states, from which the link's linear map is read.
+    Bins are counted from each group's arrival. The table also carries
+    the decoded basis states, from which the link's linear map is read.
     """
 
     encoder: EncoderSpec
@@ -118,20 +113,34 @@ class CorrectionTable:
     #: Decoded (H input, V input) under the identity channel, then under
     #: the bit flip: each accepted bin lit with a unit branch coefficient.
     basis_outputs: tuple[tuple[PhotonState, PhotonState], ...]
+    #: (port, absolute tick) -> (BranchId, bin) over the four group
+    #: windows, branch by branch in ``BRANCHES`` order, bins ascending.
+    windows: dict
 
     @property
     def bins_per_group(self) -> int:
         return self.encoder.bins_per_group
 
+    def transmit(self, qubit: QubitSpec, params: NoiseParams) -> PhotonState:
+        """Encode ``qubit``, corrupt the fiber collectively with ``params``, decode."""
+        return _transmit(self.encoder_circuit, self.decoder_circuit, qubit, params)
 
-def _bin_vectors(state: PhotonState, port: str, offset: int, n: int) -> dict:
-    """Collect (H, V) amplitude pairs per relative bin of one group window."""
-    bins: dict = {}
+
+def _transmit(enc_c: Circuit, dec_c: Circuit, qubit: QubitSpec, params: NoiseParams) -> PhotonState:
+    """The one encode -> collective noise -> decode chain."""
+    sent = run(enc_c, new_state(qubit))
+    noisy = PhotonState._from_clean(_apply_collective_noise(sent.amplitudes, params, {CHANNEL}))
+    return run(dec_c, noisy)
+
+
+def _slots(state: PhotonState, keep) -> dict:
+    """(port, tick) -> [H, V] for each slot of ``state`` in ``keep``, in amplitude order."""
+    slots: dict = {}
     for (ch, pol, tick), a in state.amplitudes.items():
-        if ch == port and offset <= tick <= offset + n:
-            pair = bins.setdefault(tick - offset, [0j, 0j])
-            pair[0 if pol is H else 1] = a
-    return bins
+        key = (ch, tick)
+        if key in keep:
+            slots.setdefault(key, [0j, 0j])[0 if pol is H else 1] = a
+    return slots
 
 
 def _find_paulis(maps: np.ndarray) -> list:
@@ -160,41 +169,42 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
     enc_c = build_encoder(encoder)
     dec_c = build_decoder(decoder)
     n = encoder.bins_per_group
+    windows = {}
+    for branch in BRANCHES:
+        offset = branch.offset(encoder, decoder)
+        windows.update({(branch.port, offset + t): (branch, t) for t in range(n + 1)})
 
-    maps: dict = {}
+    # per window slot, the 2x2 map from the sent (H, V) amplitudes
+    maps = {key: np.zeros((2, 2), dtype=complex) for key in windows}
     outputs = []
     for params in (NoiseParams.identity(), NoiseParams.bit_flip()):
         pair = []
         for col, qubit in enumerate((QubitSpec.horizontal(), QubitSpec.vertical())):
-            sent = run(enc_c, new_state(qubit))
-            noisy = PhotonState(_apply_collective_noise(sent.amplitudes, params, {CHANNEL}))
-            out = run(dec_c, noisy)
+            out = _transmit(enc_c, dec_c, qubit, params)
             pair.append(out)
-            for branch in BRANCHES:
-                if abs(branch.coefficient(params)) == 0.0:
-                    continue
-                vectors = _bin_vectors(out, branch.port, branch.offset(encoder, decoder), n)
-                for t, (a_h, a_v) in vectors.items():
-                    m = maps.setdefault((branch, t), np.zeros((2, 2), dtype=complex))
-                    m[0, col] = a_h
-                    m[1, col] = a_v
+            for key, (a_h, a_v) in _slots(out, windows).items():
+                m = maps[key]
+                m[0, col] = a_h
+                m[1, col] = a_v
         outputs.append(tuple(pair))
 
     stacked = np.array(list(maps.values()))
     singulars = np.linalg.svd(stacked, compute_uv=False)
-    # rank-deficient edge bins have lost information and are discarded
+    # rank-deficient edge bins have lost information and are discarded, as
+    # are the slots no basis run reached
     full_rank = singulars[:, -1] > 1e-9 * singulars[:, 0]
     entries = {}
-    for (branch, t), accept, correction in zip(maps, full_rank, _find_paulis(stacked)):
+    for key, accept, correction in zip(maps, full_rank, _find_paulis(stacked)):
         if not accept:
             continue
+        branch, t = windows[key]
         if correction is None:
             raise CorrectionDerivationError(
                 f"bin {t} of branch {branch.name} is not Pauli-correctable; "
                 f"the element conventions are inconsistent"
             )
         entries[(branch, t)] = correction
-    return CorrectionTable(encoder, decoder, entries, enc_c, dec_c, tuple(outputs))
+    return CorrectionTable(encoder, decoder, entries, enc_c, dec_c, tuple(outputs), windows)
 
 
 class AcceptedBin(NamedTuple):
@@ -266,33 +276,26 @@ def analyze(state: PhotonState, table: CorrectionTable, qubit: QubitSpec) -> lis
     reference after each bin's correction. Branches with no amplitude
     (a vanished channel coefficient) come back with empty bin lists.
     """
-    n = table.bins_per_group
-    reports = []
-    for branch in BRANCHES:
-        offset = branch.offset(table.encoder, table.decoder)
-        vectors = _bin_vectors(state, branch.port, offset, n)
-        accepted = []
-        discarded = []
-        for t in sorted(vectors):
-            a_h, a_v = vectors[t]
-            p = abs(a_h) ** 2 + abs(a_v) ** 2
-            correction = table.entries.get((branch, t))
-            if correction is None:
-                discarded.append(DiscardedBin(branch.port, t, p))
-                continue
-            c_h, c_v = correction.apply(a_h, a_v)
-            overlap = qubit.alpha.conjugate() * c_h + qubit.beta.conjugate() * c_v
-            accepted.append(AcceptedBin(branch.port, t, correction, p, abs(overlap) ** 2 / p))
-        reports.append(
-            BranchReport(
-                branch=branch,
-                port=branch.port,
-                offset=offset,
-                accepted=tuple(accepted),
-                discarded=tuple(discarded),
-            )
-        )
-    return reports
+    slots = _slots(state, table.windows)
+    groups = []
+    for (port, tick), (branch, t) in table.windows.items():
+        if t == 0:  # a new window opens at its group's arrival tick
+            accepted, discarded = [], []
+            groups.append((branch, port, tick, accepted, discarded))
+        pair = slots.get((port, tick))
+        if pair is None:
+            continue
+        a_h, a_v = pair
+        p = abs(a_h) ** 2 + abs(a_v) ** 2
+        correction = table.entries.get((branch, t))
+        if correction is None:
+            discarded.append(DiscardedBin(port, t, p))
+            continue
+        c_h, c_v = correction.apply(a_h, a_v)
+        overlap = qubit.alpha.conjugate() * c_h + qubit.beta.conjugate() * c_v
+        accepted.append(AcceptedBin(port, t, correction, p, abs(overlap) ** 2 / p))
+    return [BranchReport(branch, port, offset, tuple(acc), tuple(dis))
+            for branch, port, offset, acc, dis in groups]
 
 
 def total_success(reports: list[BranchReport]) -> float:
@@ -332,7 +335,6 @@ def success_probability_sweep(
     if samples < 1:
         raise ValueError("need at least one sample")
     table = correction_table(encoder, decoder)
-    enc_c, dec_c = table.encoder_circuit, table.decoder_circuit
     n = encoder.bins_per_group
     target = (n - 1) / n
 
@@ -340,9 +342,7 @@ def success_probability_sweep(
     for i in range(samples):
         params = sample_noise(ensemble, seed + i)
         qubit = random_qubit(np.random.default_rng((seed, i)))
-        sent = run(enc_c, new_state(qubit))
-        noisy = PhotonState._from_clean(_apply_collective_noise(sent.amplitudes, params, {CHANNEL}))
-        reports = analyze(run(dec_c, noisy), table, qubit)
+        reports = analyze(table.transmit(qubit, params), table, qubit)
         rows.append(SweepSample(params, total_success(reports), min_fidelity(reports)))
 
     mean = sum(r.success for r in rows) / samples

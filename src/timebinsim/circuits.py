@@ -31,8 +31,8 @@ from .elements import (
     _apply_timebin_splitter,
     _rename_channel,
 )
-from .noise import NoiseParams, _apply_collective_noise, apply_collective_noise
-from .state import PhotonState, QubitSpec, new_state
+from .noise import NoiseParams, _apply_collective_noise
+from .state import PhotonState
 
 #: Phase on the encoder long arm; cancels the splitter reflection so both
 #: output trains carry the same alpha/beta pattern (surface convention).
@@ -276,15 +276,3 @@ def physical_splitter_elements(
         Element("bs", (arm_s, arm_l), (channel, leak), convention=convention),
     )
 
-
-def transmit(
-    qubit: QubitSpec,
-    encoder: EncoderSpec,
-    decoder: DecoderSpec,
-    params: NoiseParams,
-) -> PhotonState:
-    """Full pipeline: encode, corrupt the fiber collectively, decode."""
-    check_compatible(encoder, decoder)
-    sent = run(build_encoder(encoder), new_state(qubit))
-    noisy = apply_collective_noise(sent, params, CHANNEL)
-    return run(build_decoder(decoder), noisy)

@@ -85,7 +85,7 @@ def _phase_class_deviation(actual: PhotonState, expected: PhotonState, spec: Enc
 
 def cmd_golden(args) -> int:
     convention = BsConvention(args.convention)
-    spec = EncoderSpec(stages=1, dT=args.dT, convention=convention)
+    spec = EncoderSpec(stages=1, convention=convention)
     rng = np.random.default_rng(args.seed)
     qubit = random_qubit(rng)
     tolerance = 1e-12
@@ -113,7 +113,7 @@ def cmd_golden(args) -> int:
 
     # check 2: collective noise produces the four-branch structure with
     # coefficients d1/2, g1/2, -i*d2/2, -i*g2/2 on the reference train
-    ref_spec = EncoderSpec(stages=1, dT=args.dT, convention=BsConvention.SURFACE_PHASES)
+    ref_spec = EncoderSpec(stages=1, convention=BsConvention.SURFACE_PHASES)
     ref_sent = run(build_encoder(ref_spec), new_state(qubit))
     dev2 = 0.0
     for k in range(10):
@@ -124,8 +124,8 @@ def cmd_golden(args) -> int:
             coeff = qubit.alpha if t % 2 == 0 else qubit.beta
             amps[(CHANNEL, "H", t)] = coeff * params.d1 / 2
             amps[(CHANNEL, "V", t)] = coeff * params.g1 / 2
-            amps[(CHANNEL, "H", t + args.dT)] = -1j * coeff * params.d2 / 2
-            amps[(CHANNEL, "V", t + args.dT)] = -1j * coeff * params.g2 / 2
+            amps[(CHANNEL, "H", t + ref_spec.dT)] = -1j * coeff * params.d2 / 2
+            amps[(CHANNEL, "V", t + ref_spec.dT)] = -1j * coeff * params.g2 / 2
         dev2 = max(dev2, noisy.max_deviation(PhotonState(amps)))
     status = "pass" if dev2 < tolerance else "FAIL"
     print(f"check noise-branches: max amplitude deviation {dev2:.3e} [{status}]")
@@ -161,14 +161,10 @@ def _fmt(x: float) -> str:
 
 def cmd_sweep(args) -> int:
     convention = BsConvention(args.convention)
-    encoder = (
-        EncoderSpec(args.stages, args.dT, convention)
-        if args.dT
-        else encoder_spec_for(args.stages, convention)
+    result = success_probability_sweep(
+        encoder_spec_for(args.stages, convention), DecoderSpec(0, convention),
+        NoiseEnsemble(args.ensemble, args.phi), args.samples, args.seed,
     )
-    decoder = DecoderSpec(args.dTprime, convention)
-    ensemble = NoiseEnsemble(args.ensemble, args.phi)
-    result = success_probability_sweep(encoder, decoder, ensemble, args.samples, args.seed)
 
     if args.format == "json":
         payload = {
@@ -203,9 +199,7 @@ def cmd_scaling(args) -> int:
         table = correction_table(encoder, DecoderSpec(0, convention))
         qubit = random_qubit(np.random.default_rng(args.seed + stages))
         params = sample_noise(HAAR, args.seed + stages)
-        sent = run(table.encoder_circuit, new_state(qubit))
-        noisy = apply_collective_noise(sent, params, CHANNEL)
-        success = total_success(analyze(run(table.decoder_circuit, noisy), table, qubit))
+        success = total_success(analyze(table.transmit(qubit, params), table, qubit))
         rows.append((stages, encoder.bins_per_group, encoder.wavepackets, success))
 
     if args.format == "json":
@@ -246,12 +240,13 @@ def cmd_qkd(args) -> int:
 
 def cmd_parse(args) -> int:
     circuit = load_circuit(args.file)
-    sys.stdout.write(print_circuit(circuit))
+    state = None
     if args.alpha is not None or args.beta is not None:
         alpha = complex(args.alpha) if args.alpha is not None else 0j
         beta = complex(args.beta) if args.beta is not None else 0j
-        qubit = QubitSpec(alpha, beta)
-        state = run(circuit, new_state(qubit, circuit.input))
+        state = run(circuit, new_state(QubitSpec(alpha, beta), circuit.input))
+    sys.stdout.write(print_circuit(circuit))  # only once every input is accepted
+    if state is not None:
         print("# state dump")
         print(state.dump())
     return 0
@@ -272,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("golden", help="closed-form checks of the encode/noise/recombine chain")
     p.add_argument("--convention", choices=conventions, default="surface")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dT", type=int, default=64, help="group delay in ticks")
     p.add_argument("--encoder-circ", help="check a circuit file instead of the builder")
     p.set_defaults(func=cmd_golden)
 
@@ -282,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", choices=("identity", "haar", "general", "dephasing"), default="haar")
     p.add_argument("--phi", type=float, default=math.pi, help="dephasing angle")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--dT", type=int, default=0, help="group delay; 0 = automatic")
-    p.add_argument("--dTprime", type=int, default=0, help="V-branch delay in the decoder")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("scaling", help="success probability versus cascade depth")

@@ -85,6 +85,8 @@ class Element:
             raise ValueError(f"{self.kind}: bad arity {len(self.ins)} in / {len(self.outs)} out")
         if len(set(self.ins)) != len(self.ins) or len(set(self.outs)) != len(self.outs):
             raise ValueError(f"{self.kind}: repeated channel label")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"{self.kind}: phase must be finite, got {self.phi!r}")
         if self.kind == "delay" and self.ticks < 0:
             raise ValueError("delay must be >= 0 ticks")
         if self.kind == "split" and self.ticks < 1:

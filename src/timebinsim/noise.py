@@ -38,7 +38,7 @@ class NoiseParams:
     def __post_init__(self):
         for d, g, which in ((self.d1, self.g1, "H"), (self.d2, self.g2, "V")):
             n = abs(d) ** 2 + abs(g) ** 2
-            if abs(n - 1.0) > TOLERANCE:
+            if not abs(n - 1.0) <= TOLERANCE:  # also rejects NaN
                 raise ValueError(f"noise image of |{which}> not normalized: {n!r}")
 
     @staticmethod
@@ -79,6 +79,8 @@ class NoiseEnsemble:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown noise ensemble {self.kind!r}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"ensemble phase must be finite, got {self.phi!r}")
 
 
 IDENTITY = NoiseEnsemble("identity")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import BRANCHES, CorrectionTable, correction_table
+from .analysis import BRANCHES, CorrectionTable, _slots, correction_table
 from .circuits import DecoderSpec, encoder_spec_for
 # ``run`` and ``_apply_collective_noise`` are the per-pulse chain that the
 # compiled map stands for; they stay bound here for the reference oracle in
@@ -26,7 +26,7 @@ from .circuits import DecoderSpec, encoder_spec_for
 from .circuits import run  # noqa: F401
 from .elements import _INV_SQRT2, BsConvention
 from .noise import HAAR, NoiseEnsemble, _apply_collective_noise, sample_noise  # noqa: F401
-from .state import PhotonState, Polarization, QubitSpec
+from .state import PhotonState, QubitSpec
 
 #: Alice's states, indexed [basis][bit]; basis 0 is H/V, basis 1 diagonal.
 _BB84_STATES = (
@@ -119,29 +119,24 @@ def _uniform(master: int, pulse: int, which: int) -> float:
 
 
 def _gate_map(table: CorrectionTable, encoder, decoder) -> dict:
-    """(port, absolute tick) -> Correction for every accepted bin."""
-    gates = {}
-    for (branch, t), correction in table.entries.items():
-        gates[(branch.port, branch.offset(encoder, decoder) + t)] = correction
-    return gates
+    """(port, absolute tick) -> Correction for every accepted bin; a new dict per call.
+
+    ``encoder`` and ``decoder`` are not read: the table's windows carry the layout.
+    """
+    entries = table.entries
+    return {key: entries[bin_] for key, bin_ in table.windows.items() if bin_ in entries}
 
 
 def _detection_events(out: PhotonState, gates: dict) -> list:
     """((port, tick), probability, corrected H, corrected V) per accepted output bin."""
-    bins: dict = {}
-    for (ch, pol, tick), a in out.amplitudes.items():
-        gate = gates.get((ch, tick))
-        if gate is not None:
-            pair = bins.setdefault((ch, tick), [0j, 0j, gate])
-            pair[0 if pol is Polarization.H else 1] = a
     events = []
-    for key, (a_h, a_v, gate) in bins.items():
-        c_h, c_v = gate.apply(a_h, a_v)
+    for key, (a_h, a_v) in _slots(out, gates).items():
+        c_h, c_v = gates[key].apply(a_h, a_v)
         events.append((key, abs(c_h) ** 2 + abs(c_v) ** 2, c_h, c_v))
     return events
 
 
-def _compile_link(table: CorrectionTable, encoder, decoder) -> tuple[np.ndarray, np.ndarray]:
+def _compile_link(table: CorrectionTable) -> tuple[np.ndarray, np.ndarray]:
     """The link's corrected map, bin by accepted bin.
 
     Returns, per bin, the index into ``BRANCHES`` of the noise coefficient
@@ -151,10 +146,7 @@ def _compile_link(table: CorrectionTable, encoder, decoder) -> tuple[np.ndarray,
     disjoint, so a pulse's corrected amplitudes in bin j are
     ``coefficient[branch[j]] * maps[j] @ qubit``.
     """
-    gates = _gate_map(table, encoder, decoder)
-    branch_at = {
-        (b.port, b.offset(encoder, decoder) + t): BRANCHES.index(b) for b, t in table.entries
-    }
+    gates = _gate_map(table, table.encoder, table.decoder)
     maps: dict = {}  # (port, tick) -> [H->H, V->H, H->V, V->V]
     for pair in table.basis_outputs:
         for col, out in enumerate(pair):
@@ -162,7 +154,7 @@ def _compile_link(table: CorrectionTable, encoder, decoder) -> tuple[np.ndarray,
                 m = maps.setdefault(key, [0j, 0j, 0j, 0j])
                 m[col] += c_h
                 m[2 + col] += c_v
-    branch = np.array([branch_at[key] for key in maps], dtype=np.intp)
+    branch = np.array([BRANCHES.index(table.windows[key][0]) for key in maps], dtype=np.intp)
     return branch, np.array(list(maps.values())).reshape(-1, 2, 2)
 
 
@@ -174,9 +166,8 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
     based uniforms (seed, pulse, draw index) it would draw alone.
     """
     encoder = encoder_spec_for(cfg.stages, cfg.convention)
-    decoder = DecoderSpec(0, cfg.convention)
-    table = correction_table(encoder, decoder)
-    branch, maps = _compile_link(table, encoder, decoder)
+    table = correction_table(encoder, DecoderSpec(0, cfg.convention))
+    branch, maps = _compile_link(table)
     # corrected amplitudes per (Alice's state 2 * basis + bit, bin, H/V) at unit coefficient
     qubits = np.array([(q.alpha, q.beta) for pair in _BB84_STATES for q in pair])
     images = np.einsum("jab,sb->sja", maps, qubits)
@@ -185,19 +176,14 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
     # the same draws as cfg.refresh_every, small enough for uint64 arithmetic
     refresh = min(cfg.refresh_every, cfg.pulses)
     detected = sifted = errors = 0
-    carried = None  # (draw, coefficients) of the previous block's last channel draw
     for start in range(0, cfg.pulses, _BLOCK_PULSES):
         pulse = np.arange(start, min(start + _BLOCK_PULSES, cfg.pulses), dtype=np.uint64)
         first, last = start // refresh, int(pulse[-1]) // refresh
-        coefficients = []
-        for index in range(first, last + 1):
-            if carried is not None and carried[0] == index:
-                coefficients.append(carried[1])
-            else:
-                params = sample_noise(cfg.ensemble, _derived_seed(cfg.seed, index, domain=1))
-                coefficients.append([b.coefficient(params) for b in BRANCHES])
-        carried = (last, coefficients[-1])
-        coefficients = np.array(coefficients, dtype=complex)  # (draw, branch)
+        # a draw that straddles two blocks is drawn again: sample_noise is pure
+        draws = [sample_noise(cfg.ensemble, _derived_seed(cfg.seed, index, domain=1))
+                 for index in range(first, last + 1)]
+        coefficients = np.array([[b.coefficient(p) for b in BRANCHES] for p in draws],
+                                dtype=complex)  # (draw, branch)
         draw = (pulse // refresh - first).astype(np.intp)
         branch_weight = (np.abs(coefficients) ** 2).T[:, draw]  # (branch, pulse)
 

@@ -54,7 +54,7 @@ class QubitSpec:
 
     def __post_init__(self):
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(n - 1.0) > TOLERANCE:
+        if not abs(n - 1.0) <= TOLERANCE:  # also rejects NaN
             raise ValueError(f"qubit amplitudes not normalized: |a|^2+|b|^2 = {n!r}")
 
     @staticmethod

@@ -11,7 +11,7 @@ from timebinsim.analysis import (
     success_probability_sweep,
     total_success,
 )
-from timebinsim.circuits import DecoderSpec, EncoderSpec, encoder_spec_for, transmit
+from timebinsim.circuits import DecoderSpec, EncoderSpec, encoder_spec_for
 from timebinsim.elements import BsConvention
 from timebinsim.noise import GENERAL, HAAR, IDENTITY, NoiseParams, dephasing, sample_noise
 from timebinsim.state import random_qubit
@@ -61,7 +61,7 @@ def test_corrections_verified_by_fidelity_oracle(convention):
     rng = np.random.default_rng(0)
     for seed in range(10):
         q = random_qubit(rng)
-        reports = analyze(transmit(q, enc, dec, sample_noise(HAAR, seed)), table, q)
+        reports = analyze(table.transmit(q, sample_noise(HAAR, seed)), table, q)
         for r in reports:
             for b in r.accepted:
                 assert b.fidelity == pytest.approx(1.0, abs=1e-9)
@@ -72,7 +72,7 @@ def test_analyze_haar_total_three_quarters():
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
     q = random_qubit(np.random.default_rng(1))
-    reports = analyze(transmit(q, enc, dec, sample_noise(HAAR, 3)), table, q)
+    reports = analyze(table.transmit(q, sample_noise(HAAR, 3)), table, q)
     assert total_success(reports) == pytest.approx(0.75, abs=1e-9)
 
 
@@ -81,7 +81,7 @@ def test_analyze_identity_noise_branch_structure():
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
     q = random_qubit(np.random.default_rng(2))
-    reports = {r.branch: r for r in analyze(transmit(q, enc, dec, NoiseParams.identity()), table, q)}
+    reports = {r.branch: r for r in analyze(table.transmit(q, NoiseParams.identity()), table, q)}
     assert reports[BranchId.P1V].accepted == () and reports[BranchId.P1V].discarded == ()
     assert reports[BranchId.P2H].accepted == () and reports[BranchId.P2H].discarded == ()
     assert reports[BranchId.P1H].success_probability == pytest.approx(0.75 * 0.5, abs=1e-9)
@@ -95,7 +95,7 @@ def test_analyze_dephasing_kills_cross_branches():
     table = correction_table(enc, dec)
     q = random_qubit(np.random.default_rng(3))
     params = sample_noise(dephasing(1.3), 0)
-    reports = {r.branch: r for r in analyze(transmit(q, enc, dec, params), table, q)}
+    reports = {r.branch: r for r in analyze(table.transmit(q, params), table, q)}
     assert reports[BranchId.P1V].accepted == ()
     assert reports[BranchId.P2H].accepted == ()
     assert total_success(reports.values()) == pytest.approx(0.75, abs=1e-9)
@@ -106,7 +106,7 @@ def test_analyze_three_stage_cascade():
     dec = DecoderSpec(0, SYM)
     table = correction_table(enc, dec)
     q = random_qubit(np.random.default_rng(4))
-    reports = analyze(transmit(q, enc, dec, sample_noise(HAAR, 7)), table, q)
+    reports = analyze(table.transmit(q, sample_noise(HAAR, 7)), table, q)
     assert total_success(reports) == pytest.approx(15.0 / 16.0, abs=1e-9)
 
 
@@ -118,7 +118,7 @@ def test_branch_weights_and_discards():
     for seed in range(25):
         q = random_qubit(rng)
         params = sample_noise(GENERAL, seed)
-        reports = analyze(transmit(q, enc, dec, params), table, q)
+        reports = analyze(table.transmit(q, params), table, q)
         for r in reports:
             assert r.total_probability == pytest.approx(r.branch.weight(params), abs=1e-9)
             ticks = [b.tick for b in r.discarded]
@@ -131,12 +131,30 @@ def test_branch_offsets_with_v_delay():
     dec = DecoderSpec(16, SURF)
     table = correction_table(enc, dec)
     q = random_qubit(np.random.default_rng(6))
-    reports = {r.branch: r for r in analyze(transmit(q, enc, dec, sample_noise(HAAR, 1)), table, q)}
+    reports = {r.branch: r for r in analyze(table.transmit(q, sample_noise(HAAR, 1)), table, q)}
     assert reports[BranchId.P1H].offset == 0
     assert reports[BranchId.P1V].offset == 16
     assert reports[BranchId.P2H].offset == 64
     assert reports[BranchId.P2V].offset == 80
     assert total_success(reports.values()) == pytest.approx(0.75, abs=1e-9)
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3, 4])
+@pytest.mark.parametrize("convention", [SYM, SURF])
+@pytest.mark.parametrize("v_delayed", [False, True])
+def test_windows_partition_the_decoded_state(stages, convention, v_delayed):
+    enc = encoder_spec_for(stages, convention)
+    n = enc.bins_per_group
+    table = correction_table(enc, DecoderSpec(n + 1 if v_delayed else 0, convention))
+    assert len(table.windows) == 4 * (n + 1)  # no two windows share a slot
+    rng = np.random.default_rng(stages)
+    for ensemble in (HAAR, GENERAL):
+        for seed in range(3):
+            q = random_qubit(rng)
+            out = table.transmit(q, sample_noise(ensemble, seed))
+            reports = analyze(out, table, q)
+            # every amplitude of the decoded state is in exactly one window
+            assert sum(r.total_probability for r in reports) == pytest.approx(out.norm_sq(), abs=1e-12)
 
 
 def test_success_independent_of_noise_sample_by_sample():
@@ -177,7 +195,7 @@ def test_report_serialization():
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
     q = random_qubit(np.random.default_rng(8))
-    reports = analyze(transmit(q, enc, dec, sample_noise(HAAR, 2)), table, q)
+    reports = analyze(table.transmit(q, sample_noise(HAAR, 2)), table, q)
     r = reports[0]
     d = r.to_dict()
     assert d["branch"] == "P1H" and d["port"] == "5"
@@ -193,5 +211,5 @@ def test_all_branches_present_in_order():
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
     q = random_qubit(np.random.default_rng(9))
-    reports = analyze(transmit(q, enc, dec, NoiseParams.identity()), table, q)
+    reports = analyze(table.transmit(q, NoiseParams.identity()), table, q)
     assert tuple(r.branch for r in reports) == BRANCHES

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _circgen import random_circuit
+from timebinsim.analysis import correction_table
 from timebinsim.circuits import (
     CHANNEL,
     MAX_STAGES,
@@ -18,7 +19,6 @@ from timebinsim.circuits import (
     physical_splitter_elements,
     recombiner_elements,
     run,
-    transmit,
 )
 from timebinsim.elements import BsConvention, ConventionError, Element
 from timebinsim.noise import NoiseParams, sample_noise, HAAR
@@ -165,7 +165,8 @@ def test_empty_circuit_is_identity():
 
 def test_pipeline_identity_noise_norm_one():
     q = random_qubit(np.random.default_rng(5))
-    out = transmit(q, EncoderSpec(1, 64, SURF), DecoderSpec(0, SURF), NoiseParams.identity())
+    table = correction_table(EncoderSpec(1, 64, SURF), DecoderSpec(0, SURF))
+    out = table.transmit(q, NoiseParams.identity())
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -193,7 +194,8 @@ def test_pure_v_group_exits_alt_port_only():
 
 def test_identity_pipeline_interior_bin_reconstructs_qubit():
     q = random_qubit(np.random.default_rng(8))
-    out = transmit(q, EncoderSpec(1, 64, SURF), DecoderSpec(0, SURF), NoiseParams.identity())
+    table = correction_table(EncoderSpec(1, 64, SURF), DecoderSpec(0, SURF))
+    out = table.transmit(q, NoiseParams.identity())
     sub = out.restrict("5", (1, 1))
     assert fidelity_with_qubit(sub, q) == pytest.approx(1.0, abs=1e-12)
     a_h, a_v = qubit_amplitudes(sub)
@@ -283,13 +285,12 @@ def test_run_propagates_convention_violation():
 def test_transmit_checks_compatibility():
     q = random_qubit(np.random.default_rng(10))
     with pytest.raises(CircuitError):
-        transmit(q, EncoderSpec(1, 64), DecoderSpec(2), NoiseParams.identity())
+        correction_table(EncoderSpec(1, 64), DecoderSpec(2)).transmit(q, NoiseParams.identity())
 
 
 def test_scaling_norm_conserved_with_haar_noise():
     for stages in (1, 2, 3):
         q = random_qubit(np.random.default_rng(stages))
-        out = transmit(
-            q, encoder_spec_for(stages, SYM), DecoderSpec(0, SYM), sample_noise(HAAR, stages)
-        )
+        table = correction_table(encoder_spec_for(stages, SYM), DecoderSpec(0, SYM))
+        out = table.transmit(q, sample_noise(HAAR, stages))
         assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)

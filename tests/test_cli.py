@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import timebinsim
 from timebinsim.cli import main
 from timebinsim.circfile import print_circuit
 from timebinsim.circuits import EncoderSpec, build_encoder
@@ -173,3 +175,41 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--frequency", "11"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["golden", "--dT", "200"], ["sweep", "--dT", "300"],
+                                  ["sweep", "--dTprime", "41"]])
+def test_removed_timing_flags_exit_2(argv):
+    # no output byte depended on them; the library specs keep dT and dTprime
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["qkd", "--pulses", "1000", "--ensemble", "dephasing", "--phi", "nan"],
+    ["sweep", "--ensemble", "dephasing", "--phi", "inf"],
+    ["sweep", "--ensemble", "haar", "--phi=-inf"],
+])
+def test_non_finite_phase_exits_2_writing_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha, beta", [("nan", "0"), ("1", "nanj"), ("inf", "0")])
+def test_parse_rejects_non_finite_qubit_writing_nothing(alpha, beta, capsys):
+    circ = Path(timebinsim.__file__).parent / "data" / "encoder_n1.circ"
+    assert main(["parse", str(circ), "--alpha", alpha, "--beta", beta]) == 2
+    captured = capsys.readouterr()
+    assert "normalized" in captured.err and captured.out == ""
+
+
+def test_parse_rejects_non_finite_phase_with_its_line(tmp_path, capsys):
+    circ = tmp_path / "c.circ"
+    circ.write_text("input a\nphase a -> a phi=nan\noutput a\n")
+    assert main(["parse", str(circ)]) == 2
+    captured = capsys.readouterr()
+    assert "line 2" in captured.err and captured.out == ""

@@ -25,6 +25,13 @@ CASES = {
     "qkd": ["qkd", "--pulses", "2000", "--stages", "2", "--eta", "0.6", "--seed", "5"],
     "parse_encoder": ["parse", str(CIRCUITS / "encoder_n1.circ"), "--alpha", "0.6", "--beta", "0.8j"],
     "parse_decoder": ["parse", str(CIRCUITS / "decoder.circ"), "--alpha", "0.6", "--beta", "0.8j"],
+    # three blocks of pulses whose channel draws straddle the block edges
+    "qkd_general_surface_refresh7": ["qkd", "--pulses", "10000", "--refresh", "7", "--stages", "2",
+                                     "--ensemble", "general", "--convention", "surface",
+                                     "--seed", "2"],
+    "scaling_json_s6": ["scaling", "--max-stages", "6", "--format", "json", "--seed", "4"],
+    "sweep_general_surface_s3": ["sweep", "--stages", "3", "--ensemble", "general",
+                                 "--convention", "surface", "--samples", "5", "--seed", "8"],
 }
 
 

@@ -143,6 +143,12 @@ def test_delay_rejects_negative():
         apply(delay("a", -1), one())
 
 
+@pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
+def test_phase_rejects_non_finite_angle(phi):
+    with pytest.raises(ValueError, match="finite"):
+        phase("a", phi)
+
+
 def test_splitter_definition():
     out = apply(split("c", 2), one("c"))
     assert out.amplitude("c", "H", 0) == pytest.approx(S2)

@@ -56,11 +56,23 @@ def test_params_invariant_enforced():
         NoiseParams(1.0, 0.5, 0.0, 1.0)
     with pytest.raises(ValueError):
         NoiseParams(1.0, 0.0, 0.0, 0.5)
+    for bad in (float("nan"), complex("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            NoiseParams(bad, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            NoiseParams(1.0, 0.0, 0.0, bad)
 
 
 def test_unknown_ensemble_rejected():
     with pytest.raises(ValueError):
         NoiseEnsemble("weather")
+
+
+@pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_ensemble_phase_rejected(phi):
+    for kind in ("dephasing", "haar"):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseEnsemble(kind, phi)
 
 
 def test_identity_noise_is_identity():

@@ -5,7 +5,7 @@ import pytest
 
 from timebinsim import qkd
 from timebinsim.analysis import BRANCHES, Correction, correction_table
-from timebinsim.circuits import CHANNEL, CircuitError, DecoderSpec, encoder_spec_for, transmit
+from timebinsim.circuits import CHANNEL, CircuitError, DecoderSpec, encoder_spec_for
 from timebinsim.elements import _INV_SQRT2, BsConvention
 from timebinsim.noise import GENERAL, HAAR, IDENTITY, dephasing, sample_noise
 from timebinsim.qkd import Bb84Config, Bb84Stats, effective_efficiency, simulate_bb84
@@ -164,7 +164,7 @@ def test_stats_accessors_and_csv():
 def test_compiled_bins_match_the_interpreter(convention, stages):
     encoder, decoder = encoder_spec_for(stages, convention), DecoderSpec(0, convention)
     table = correction_table(encoder, decoder)
-    branch, maps = qkd._compile_link(table, encoder, decoder)
+    branch, maps = qkd._compile_link(table)
     gates = qkd._gate_map(table, encoder, decoder)
     rng = np.random.default_rng(stages)
     for seed in range(5):
@@ -172,7 +172,7 @@ def test_compiled_bins_match_the_interpreter(convention, stages):
         q = random_qubit(rng)
         coefficients = np.array([b.coefficient(params) for b in BRANCHES])
         compiled = coefficients[branch, None] * (maps @ np.array([q.alpha, q.beta]))
-        events = qkd._detection_events(transmit(q, encoder, decoder, params), gates)
+        events = qkd._detection_events(table.transmit(q, params), gates)
         # bins are compared order-free: by their probabilities and their summed amplitudes
         assert len(events) == len(compiled)
         assert sorted((np.abs(compiled) ** 2).sum(axis=1)) == pytest.approx(
@@ -217,3 +217,11 @@ def test_a_wrong_correction_gives_sifted_errors(monkeypatch):
     stats = simulate_bb84(cfg)
     assert stats.errors > 0
     assert counts(stats) == reference_bb84(cfg)
+    # Under right corrections the counts do not depend on the channel draws;
+    # under a wrong one they do, so this checks the draws that straddle blocks.
+    monkeypatch.setattr(qkd, "_BLOCK_PULSES", 32)
+    for refresh in (7, 50):
+        cfg = Bb84Config(pulses=200, ensemble=GENERAL, refresh_every=refresh, seed=3)
+        stats = simulate_bb84(cfg)
+        assert stats.errors > 0
+        assert counts(stats) == reference_bb84(cfg)

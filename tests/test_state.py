@@ -51,6 +51,9 @@ def test_qubit_spec_rejects_unnormalized():
         QubitSpec(1.0, 0.5)
     with pytest.raises(ValueError):
         QubitSpec(0.0, 0.999999)
+    for bad in (float("nan"), complex("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            QubitSpec(bad, 0.0)
 
 
 def test_norm_sq_empty_state():

@@ -28,6 +28,7 @@ from .noise import (
     NoiseParams,
     apply_collective_noise,
     dephasing,
+    sample_coefficients,
     sample_noise,
 )
 from .circuits import (

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,10 @@ class NoiseParams:
     @staticmethod
     def bit_flip() -> "NoiseParams":
         return NoiseParams(0.0, 1.0, 1.0, 0.0)
+
+    def coefficients(self) -> tuple[complex, ...]:
+        """(d1, g1, d2, g2), the order of ``analysis.BRANCHES``."""
+        return (self.d1, self.g1, self.d2, self.g2)
 
     def as_floats(self) -> tuple[float, ...]:
         """Flatten to 8 floats (re, im per parameter), CSV order."""
@@ -129,6 +134,176 @@ def sample_noise(ensemble: NoiseEnsemble, seed: int) -> NoiseParams:
     d1, g1 = _unit_vector(rng)
     d2, g2 = _unit_vector(rng)
     return NoiseParams(d1, g1, d2, g2)
+
+
+def sample_coefficients(ensemble: NoiseEnsemble, seeds) -> np.ndarray:
+    """``sample_noise`` for many seeds: a (draws, 4) complex array.
+
+    Row k is (d1, g1, d2, g2) of ``sample_noise(ensemble, seeds[k])``, bit
+    for bit, in the order of ``analysis.BRANCHES``. Haar draws are made in
+    one vectorized pass over the seeds; the other ensembles call
+    ``sample_noise`` per seed. Seeds must lie in [0, 2**64).
+    """
+    seeds = _seed_array(seeds)
+    if ensemble.kind != "haar":
+        rows = [sample_noise(ensemble, int(s)).coefficients() for s in seeds]
+        return np.array(rows, dtype=complex).reshape(len(seeds), 4)
+    coefficients = _haar_coefficients(_pcg64_random4(seeds))
+    squares = coefficients.view(float) ** 2
+    norms = np.stack((squares[:, :4].sum(axis=1), squares[:, 4:].sum(axis=1)))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= TOLERANCE).all(axis=0))  # also rejects NaN
+    if len(bad):
+        raise ValueError(f"noise draw {bad[0]} (seed {seeds[bad[0]]}) not normalized: "
+                         f"{norms[:, bad[0]].tolist()!r}")
+    return coefficients
+
+
+def _seed_array(seeds) -> np.ndarray:
+    """Seeds as a 1-D uint64 array; one outside [0, 2**64) raises instead of wrapping."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        if seeds.ndim != 1:
+            raise ValueError(f"seeds must be one-dimensional, got shape {seeds.shape}")
+        return seeds
+    values = [operator.index(s) for s in seeds]
+    outside = [v for v in values if not 0 <= v < 1 << 64]
+    if outside:
+        raise ValueError(f"seeds must lie in [0, 2**64), got {outside[0]}")
+    return np.array(values, dtype=np.uint64)
+
+
+def _haar_coefficients(uniforms: np.ndarray) -> np.ndarray:
+    """``_haar_u2`` over rows of four uniforms: a (draws, 4) complex array.
+
+    Python's complex ``*`` and ``/`` (CPython's ``_Py_c_prod`` and
+    ``_Py_c_quot``, a real operand taken as imaginary part 0) are written
+    out on (real, imaginary) pairs in their operation order, because
+    numpy's own complex product and quotient round differently in the last
+    bit. ``cmath.exp(2j * pi * x)`` is (cos, sin) of the float product
+    2 * pi * x, which numpy's complex ``exp`` reproduces.
+    """
+    xi = uniforms[:, 0]
+    zero = np.zeros(len(xi))
+    c, s = (np.sqrt(1.0 - xi), zero), (np.sqrt(xi), zero)
+    phase = np.zeros((3, len(xi)), dtype=complex)
+    phase.imag = 2.0 * math.pi * uniforms[:, 1:].T
+    with np.errstate(invalid="ignore"):  # a NaN phase is left to the norm check
+        pa, pb, pg = ((p.real, p.imag) for p in np.exp(phase))
+    parts = (
+        _c_prod(_c_prod(pg, pa), c),                # |H> -> H
+        _c_quot(_c_prod((-pg[0], -pg[1]), s), pb),  # |H> -> V
+        _c_prod(_c_prod(pg, pb), s),                # |V> -> H
+        _c_quot(_c_prod(pg, c), pa),                # |V> -> V
+    )
+    return np.stack([x for part in parts for x in part], axis=1).view(complex)
+
+
+def _c_prod(a, b):
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _c_quot(a, b):
+    # both of _Py_c_quot's branches, with the ratio's division made once and
+    # only by the larger part, so no lane divides by zero
+    (ar, ai), (br, bi) = a, b
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi, br) / np.where(by_real, br, bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    return (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+# -- np.random.default_rng(seed).random(4) over arrays of seeds ---------------
+#
+# default_rng hashes the seed with numpy's SeedSequence into a PCG64 128-bit
+# state and increment; random() takes the top 53 bits of each XSL-RR output.
+# SeedSequence's hash constants advance per call, not per seed, so they are
+# precomputed; the seeding steps and the four outputs fold into one jump.
+# Constants from numpy/random/bit_generator.pyx and src/pcg64/pcg64.h.
+
+_MASK32 = 0xFFFFFFFF
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(h: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per hash call, the constant XORed in and the one multiplied by, as columns."""
+    xors, mults = [], []
+    for _ in range(calls):
+        xors.append(h)
+        h = h * mult & _MASK32
+        mults.append(h)
+    return np.array(xors, dtype=np.uint32)[:, None], np.array(mults, dtype=np.uint32)[:, None]
+
+
+#: mix_entropy: four pool words, then 4 x 3 cross-mixes; generate_state: 8 words
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _words128(values) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit integers as (high, low) uint64 columns."""
+    values = [v % (1 << 128) for v in values]
+    return (np.array([[v >> 64] for v in values], dtype=np.uint64),
+            np.array([[v & (1 << 64) - 1] for v in values], dtype=np.uint64))
+
+
+# The seeding leaves state M*(seed_state + inc) + inc, and each output steps
+# first, so output k reads M^(k+2) seed_state + (M^(k+2) + ... + M + 1) inc.
+_STATE_JUMP = _words128(pow(_PCG64_MULT, k + 2, 1 << 128) for k in range(4))
+_INC_JUMP = _words128(sum(pow(_PCG64_MULT, i, 1 << 128) for i in range(k + 3)) for k in range(4))
+
+
+def _hashmix(values, xors, mults):
+    values = (values ^ xors) * mults
+    return values ^ values >> 16
+
+
+def _mulhi64(a, b):
+    """High 64 bits of the 128-bit product, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _mul128(x, y):
+    """x * y mod 2**128 on (high, low) uint64 pairs."""
+    (xh, xl), (yh, yl) = x, y
+    return _mulhi64(xl, yl) + xh * yl + xl * yh, xl * yl
+
+
+def _add128(x, y):
+    (xh, xl), (yh, yl) = x, y
+    low = xl + yl
+    return xh + yh + (low < xl), low
+
+
+def _pcg64_random4(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.default_rng(seed).random(4)`` per uint64 seed: a (draws, 4) array.
+
+    A seed below 2**64 is at most two 32-bit entropy words, and the pool
+    pads the missing ones with zeros, so every seed takes one path.
+    """
+    xors, mults = _POOL_HASH
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & _MASK32
+    pool[1] = seeds >> 32
+    pool = _hashmix(pool, xors[:4], mults[:4])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        hashed = _hashmix(pool[src], xors[k:k + 3], mults[k:k + 3])
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        pool[dst] = mixed ^ mixed >> 16
+    # generate_state(4, uint64): eight hashed words, paired little-endian
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_STATE_HASH).astype(np.uint64)
+    seed_state_h, seed_state_l, seq_h, seq_l = words[0::2] | words[1::2] << 32
+    inc = (seq_h << 1 | seq_l >> 63, seq_l << 1 | 1)
+    high, low = _add128(_mul128((seed_state_h, seed_state_l), _STATE_JUMP), _mul128(inc, _INC_JUMP))
+    xored, rot = high ^ low, high >> 58
+    out = xored >> rot | xored << (64 - rot & 63)
+    return (out >> 11).T * 2.0 ** -53
 
 
 def _apply_collective_noise(amps: dict, params: NoiseParams, channels) -> dict:

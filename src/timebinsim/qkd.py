@@ -1,8 +1,9 @@
-"""BB84 over the collectively noisy fiber, pulse by pulse.
+"""BB84 over the collectively noisy fiber, a block of pulses at a time.
 
 Each pulse carries one of the four BB84 states through the full
 encode/corrupt/decode chain, compiled once per link into one corrected
-2x2 map per accepted bin and evaluated for a block of pulses at once.
+2x2 map per accepted bin and evaluated for a block of pulses at once;
+a block's Haar channel draws are made in one vectorized pass.
 Detection is sampled from the exact output bin probabilities scaled by
 the baseline detector efficiency, the bin's derived Pauli is applied,
 and the receiver measures in a random basis.
@@ -25,7 +26,8 @@ from .circuits import DecoderSpec, encoder_spec_for
 # tests/test_qkd.py and for the benchmark's tracer (perfbench/spans.py).
 from .circuits import run  # noqa: F401
 from .elements import _INV_SQRT2, BsConvention
-from .noise import HAAR, NoiseEnsemble, _apply_collective_noise, sample_noise  # noqa: F401
+from .noise import (HAAR, NoiseEnsemble, _apply_collective_noise,  # noqa: F401
+                    sample_coefficients, sample_noise)
 from .state import PhotonState, QubitSpec
 
 #: Alice's states, indexed [basis][bit]; basis 0 is H/V, basis 1 diagonal.
@@ -100,6 +102,10 @@ _MASK64 = (1 << 64) - 1
 #: holds O(_BLOCK_PULSES) numbers whatever the cascade depth.
 _BLOCK_PULSES = 1 << 12
 
+#: Fewest Haar draws in a block that ``sample_coefficients`` makes in one
+#: pass: its fixed cost is about that of this many ``sample_noise`` calls.
+_BATCH_DRAWS = 16
+
 
 def _mix64(x: int) -> int:
     # splitmix64 finalizer: cheap, stable, well-distributed
@@ -158,6 +164,25 @@ def _compile_link(table: CorrectionTable) -> tuple[np.ndarray, np.ndarray]:
     return branch, np.array(list(maps.values())).reshape(-1, 2, 2)
 
 
+def _channel_coefficients(ensemble: NoiseEnsemble, seeds: np.ndarray) -> np.ndarray:
+    """(draw, branch) noise coefficients, one row per channel seed.
+
+    The first draw always goes through ``sample_noise``. Haar blocks of at
+    least ``_BATCH_DRAWS`` draws take every row from ``sample_coefficients``,
+    whose first row must equal that draw bit for bit: a numpy whose
+    generator the batch no longer reproduces fails here, not silently.
+    """
+    first = np.array(sample_noise(ensemble, int(seeds[0])).coefficients(), dtype=complex)
+    if ensemble.kind != "haar" or len(seeds) < _BATCH_DRAWS:
+        rest = [sample_noise(ensemble, int(s)).coefficients() for s in seeds[1:]]
+        return np.array([first, *rest], dtype=complex)
+    coefficients = sample_coefficients(ensemble, seeds)
+    if coefficients[0].tobytes() != first.tobytes():
+        raise RuntimeError(f"batched Haar draw {coefficients[0].tolist()} differs from "
+                           f"sample_noise's {first.tolist()} for seed {seeds[0]}")
+    return coefficients
+
+
 def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
     """Monte Carlo BB84 run; bit-for-bit reproducible for a given config.
 
@@ -179,11 +204,9 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
     for start in range(0, cfg.pulses, _BLOCK_PULSES):
         pulse = np.arange(start, min(start + _BLOCK_PULSES, cfg.pulses), dtype=np.uint64)
         first, last = start // refresh, int(pulse[-1]) // refresh
-        # a draw that straddles two blocks is drawn again: sample_noise is pure
-        draws = [sample_noise(cfg.ensemble, _derived_seed(cfg.seed, index, domain=1))
-                 for index in range(first, last + 1)]
-        coefficients = np.array([[b.coefficient(p) for b in BRANCHES] for p in draws],
-                                dtype=complex)  # (draw, branch)
+        # a draw that straddles two blocks is drawn again: the draws are pure
+        seeds = _derived_seed(cfg.seed, np.arange(first, last + 1, dtype=np.uint64), domain=1)
+        coefficients = _channel_coefficients(cfg.ensemble, seeds)  # (draw, branch)
         draw = (pulse // refresh - first).astype(np.intp)
         branch_weight = (np.abs(coefficients) ** 2).T[:, draw]  # (branch, pulse)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from timebinsim import noise, qkd
 from timebinsim.noise import (
     GENERAL,
     HAAR,
@@ -11,6 +12,7 @@ from timebinsim.noise import (
     NoiseParams,
     apply_collective_noise,
     dephasing,
+    sample_coefficients,
     sample_noise,
 )
 from timebinsim.state import PhotonState, random_qubit, random_state
@@ -163,3 +165,78 @@ def test_noise_commutes_with_restrict():
 def test_as_floats_order():
     p = NoiseParams(1.0, 0.0, 0.0, 1j)
     assert p.as_floats() == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+
+
+# -- the batched draw ----------------------------------------------------------
+
+#: the channel seeds simulate_bb84 draws, plus the edges of the seed range
+BATCH_SEEDS = [qkd._derived_seed(seed, index, domain=1)
+               for seed in (0, 1, 2**64 - 1) for index in range(1666)]
+BATCH_SEEDS += [0, 1, 2, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+ENSEMBLES = [IDENTITY, HAAR, GENERAL, dephasing(0.7)]
+
+
+def reference_rows(ensemble, seeds):
+    return np.array([sample_noise(ensemble, int(s)).coefficients() for s in seeds], dtype=complex)
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES, ids=lambda e: e.kind)
+def test_batched_draws_are_sample_noise_bit_for_bit(ensemble):
+    expected = reference_rows(ensemble, BATCH_SEEDS)
+    for seeds in (BATCH_SEEDS, np.array(BATCH_SEEDS, dtype=np.uint64)):
+        batch = sample_coefficients(ensemble, seeds)
+        assert batch.shape == (len(BATCH_SEEDS), 4) and batch.dtype == complex
+        assert batch.tobytes() == expected.tobytes()
+
+
+def test_batched_uniforms_are_default_rng():
+    batch = noise._pcg64_random4(np.array(BATCH_SEEDS, dtype=np.uint64))
+    expected = np.array([np.random.default_rng(s).random(4) for s in BATCH_SEEDS])
+    assert batch.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES, ids=lambda e: e.kind)
+def test_block_draws_on_both_sides_of_the_crossover(ensemble):
+    seeds = qkd._derived_seed(9, np.arange(3 * qkd._BATCH_DRAWS, dtype=np.uint64), domain=1)
+    for size in (1, 2, qkd._BATCH_DRAWS - 1, qkd._BATCH_DRAWS, qkd._BATCH_DRAWS + 1, len(seeds)):
+        rows = qkd._channel_coefficients(ensemble, seeds[:size])
+        assert rows.tobytes() == reference_rows(ensemble, seeds[:size]).tobytes(), size
+
+
+@pytest.mark.parametrize("master", [0, 5, -3, 2**64 - 1, 2**70 + 1])
+def test_derived_seed_over_index_arrays_is_the_scalar_value(master):
+    indices = list(range(300)) + [2**32 - 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1]
+    for domain in (0, 1):
+        batch = qkd._derived_seed(master, np.array(indices, dtype=np.uint64), domain)
+        assert batch.dtype == np.uint64
+        assert batch.tolist() == [qkd._derived_seed(master, i, domain) for i in indices]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_batch_rejects_seeds_outside_64_bits(seed):
+    # default_rng takes 2**64 and above, with more entropy words than the batch models
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        sample_coefficients(HAAR, [5, seed])
+
+
+def test_batch_rejects_an_unnormalized_draw_with_its_index(monkeypatch):
+    original = noise._pcg64_random4
+    for column in range(4):  # the mixing angle and each of the three phases
+        def nan_uniform(seeds, column=column):
+            uniforms = original(seeds).copy()
+            uniforms[3, column] = np.nan
+            return uniforms
+
+        monkeypatch.setattr(noise, "_pcg64_random4", nan_uniform)
+        with pytest.raises(ValueError, match="draw 3 "):
+            sample_coefficients(HAAR, BATCH_SEEDS[:20])
+
+
+def test_a_batch_that_is_not_sample_noise_stops_the_run(monkeypatch):
+    original = noise._pcg64_random4
+    monkeypatch.setattr(noise, "_pcg64_random4", lambda seeds: original(np.roll(seeds, -1)))
+    seeds = np.array(BATCH_SEEDS[:qkd._BATCH_DRAWS], dtype=np.uint64)
+    with pytest.raises(RuntimeError, match="differs from sample_noise"):
+        qkd._channel_coefficients(HAAR, seeds)
+    with pytest.raises(RuntimeError, match="differs from sample_noise"):
+        qkd.simulate_bb84(qkd.Bb84Config(pulses=100, ensemble=HAAR, seed=2))

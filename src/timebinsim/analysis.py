@@ -16,7 +16,7 @@ chain and solving for the Pauli that undoes each bin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -85,12 +85,14 @@ class Correction(Enum):
         return -1j * a_v, 1j * a_h
 
 
-_PAULI = {
-    Correction.IDENTITY: np.eye(2, dtype=complex),
-    Correction.BIT_FLIP: np.array([[0, 1], [1, 0]], dtype=complex),
-    Correction.PHASE_FLIP: np.array([[1, 0], [0, -1]], dtype=complex),
-    Correction.BIT_PHASE_FLIP: np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
+_CORRECTIONS = tuple(Correction)
+#: The matrix of each of ``_CORRECTIONS``.
+_PAULI_MATRICES = np.array([
+    [[1, 0], [0, 1]],
+    [[0, 1], [1, 0]],
+    [[1, 0], [0, -1]],
+    [[0, -1j], [1j, 0]],
+], dtype=complex)
 
 
 class CorrectionDerivationError(RuntimeError):
@@ -102,7 +104,7 @@ class CorrectionTable:
     """The link: its circuits, its detection windows and the Pauli per (branch, bin).
 
     Bins are counted from each group's arrival. The table also carries
-    the decoded basis states, from which the link's linear map is read.
+    the decoded basis states and, slot by slot, the link's linear map.
     """
 
     encoder: EncoderSpec
@@ -116,6 +118,16 @@ class CorrectionTable:
     #: (port, absolute tick) -> (BranchId, bin) over the four group
     #: windows, branch by branch in ``BRANCHES`` order, bins ascending.
     windows: dict
+    #: Read-only, one row per window slot in ``windows`` order: the 2x2 map
+    #: from the sent (H, V) amplitudes to the slot's at unit branch
+    #: coefficient, and the slot's index into ``BRANCHES``. By linearity a
+    #: slot's amplitudes are ``coefficient[slot_branch] * slot_maps @ qubit``.
+    slot_maps: np.ndarray = field(compare=False)
+    slot_branch: np.ndarray = field(compare=False)
+    #: Read-only: which slots are accepted bins, and each accepted slot's
+    #: Pauli matrix, in slot order.
+    slot_accepted: np.ndarray = field(compare=False)
+    slot_paulis: np.ndarray = field(compare=False)
 
     @property
     def bins_per_group(self) -> int:
@@ -143,17 +155,17 @@ def _slots(state: PhotonState, keep) -> dict:
     return slots
 
 
-def _find_paulis(maps: np.ndarray) -> list:
-    """Per 2x2 map m, the first Pauli P with P @ m proportional to the identity, else None."""
+def _find_paulis(maps: np.ndarray) -> np.ndarray:
+    """Per 2x2 map m, the index in ``_CORRECTIONS`` of the first Pauli P with
+    P @ m proportional to the identity, else -1."""
     scale = 1e-9 * np.abs(maps).max(axis=(1, 2))
     found = np.full(len(maps), -1)
-    for index, pauli in enumerate(_PAULI.values()):
+    for index, pauli in enumerate(_PAULI_MATRICES):
         r = pauli @ maps
         match = (np.abs(r[:, 0, 1]) <= scale) & (np.abs(r[:, 1, 0]) <= scale) \
             & (np.abs(r[:, 0, 0] - r[:, 1, 1]) <= scale)
         found[match & (found < 0)] = index
-    corrections = tuple(_PAULI)
-    return [corrections[i] if i >= 0 else None for i in found]
+    return found
 
 
 def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTable:
@@ -193,18 +205,25 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
     # rank-deficient edge bins have lost information and are discarded, as
     # are the slots no basis run reached
     full_rank = singulars[:, -1] > 1e-9 * singulars[:, 0]
+    paulis = _find_paulis(stacked)
     entries = {}
-    for key, accept, correction in zip(maps, full_rank, _find_paulis(stacked)):
+    for key, accept, index in zip(maps, full_rank, paulis):
         if not accept:
             continue
         branch, t = windows[key]
-        if correction is None:
+        if index < 0:
             raise CorrectionDerivationError(
                 f"bin {t} of branch {branch.name} is not Pauli-correctable; "
                 f"the element conventions are inconsistent"
             )
-        entries[(branch, t)] = correction
-    return CorrectionTable(encoder, decoder, entries, enc_c, dec_c, tuple(outputs), windows)
+        entries[(branch, t)] = _CORRECTIONS[index]
+    # check_compatible keeps the windows disjoint: n + 1 slots per branch
+    slot_branch = np.repeat(np.arange(len(BRANCHES)), n + 1)
+    slot_paulis = _PAULI_MATRICES[paulis[full_rank]]
+    for array in (stacked, slot_branch, full_rank, slot_paulis):
+        array.flags.writeable = False
+    return CorrectionTable(encoder, decoder, entries, enc_c, dec_c, tuple(outputs), windows,
+                           stacked, slot_branch, full_rank, slot_paulis)
 
 
 class AcceptedBin(NamedTuple):
@@ -320,6 +339,37 @@ class SweepResult:
     max_deviation: float      # worst |success - target| over all samples
 
 
+#: Samples times window slots evaluated together by a sweep. A block's
+#: complex (sample, slot) arrays stay within 64 kB, which keeps them in
+#: cache and the sweep's peak memory flat; from stage 10 on, where one
+#: sample has more slots than this, a block is one sample.
+_BLOCK_SLOTS = 1 << 12
+
+
+def _evaluate(table: CorrectionTable, coefficients: np.ndarray, qubits: np.ndarray):
+    """(total success, worst fidelity) per sample, from the table's slot maps.
+
+    ``coefficients`` is (sample, branch) in ``BRANCHES`` order and ``qubits``
+    (sample, H/V). Only accepted slots are read. As in ``analyze`` of an
+    interpreted state, a slot without probability has no fidelity, and a
+    sample with none has worst fidelity 1.0.
+    """
+    accepted = table.slot_accepted
+    maps = table.slot_maps[accepted]
+    c = coefficients[:, table.slot_branch[accepted]]
+    q_h, q_v = qubits[:, :1], qubits[:, 1:]
+    a_h = c * (maps[:, 0, 0] * q_h + maps[:, 0, 1] * q_v)
+    a_v = c * (maps[:, 1, 0] * q_h + maps[:, 1, 1] * q_v)
+    p = np.abs(a_h) ** 2 + np.abs(a_v) ** 2
+    paulis = table.slot_paulis
+    c_h = paulis[:, 0, 0] * a_h + paulis[:, 0, 1] * a_v
+    c_v = paulis[:, 1, 0] * a_h + paulis[:, 1, 1] * a_v
+    overlap = q_h.conj() * c_h + q_v.conj() * c_v
+    lit = p > 0
+    fidelity = np.divide(np.abs(overlap) ** 2, p, out=np.full(p.shape, np.inf), where=lit)
+    return p.sum(axis=1), np.where(lit.any(axis=1), fidelity.min(axis=1), 1.0)
+
+
 def success_probability_sweep(
     encoder: EncoderSpec,
     decoder: DecoderSpec,
@@ -330,7 +380,10 @@ def success_probability_sweep(
     """Success probability over many channel draws; must pin to (N-1)/N.
 
     Deterministic per seed: sample i uses noise seed ``seed + i`` and a
-    random input qubit derived from the same pair.
+    random input qubit derived from the same pair. Samples are evaluated
+    in blocks from the table's slot maps; sample 0 also runs through the
+    interpreter and ``analyze``, and a disagreement beyond 1e-12 raises
+    RuntimeError.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -338,13 +391,29 @@ def success_probability_sweep(
     n = encoder.bins_per_group
     target = (n - 1) / n
 
+    per_block = max(1, _BLOCK_SLOTS // len(table.windows))
     rows = []
-    for i in range(samples):
-        params = sample_noise(ensemble, seed + i)
-        qubit = random_qubit(np.random.default_rng((seed, i)))
-        reports = analyze(table.transmit(qubit, params), table, qubit)
-        rows.append(SweepSample(params, total_success(reports), min_fidelity(reports)))
+    for start in range(0, samples, per_block):
+        block = range(start, min(start + per_block, samples))
+        params = [sample_noise(ensemble, seed + i) for i in block]
+        qubits = [random_qubit(np.random.default_rng((seed, i))) for i in block]
+        success, worst = _evaluate(table, np.array([p.coefficients() for p in params], dtype=complex),
+                                   np.array([(q.alpha, q.beta) for q in qubits], dtype=complex))
+        rows += map(SweepSample, params, success.tolist(), worst.tolist())
+        if start == 0:
+            _check_against_interpreter(table, params[0], qubits[0], rows[0], seed)
 
     mean = sum(r.success for r in rows) / samples
     deviation = max(abs(r.success - target) for r in rows)
     return SweepResult(target=target, samples=tuple(rows), mean_success=mean, max_deviation=deviation)
+
+
+def _check_against_interpreter(table, params, qubit, row: SweepSample, seed: int):
+    """Raise RuntimeError unless ``row`` agrees with the interpreted sample within 1e-12."""
+    reports = analyze(table.transmit(qubit, params), table, qubit)
+    success, worst = total_success(reports), min_fidelity(reports)
+    if not (abs(row.success - success) <= 1e-12 and abs(row.min_fidelity - worst) <= 1e-12):
+        raise RuntimeError(
+            f"sweep sample 0 (seed {seed}) from the slot maps gives success {row.success!r} and "
+            f"min fidelity {row.min_fidelity!r}; the interpreter gives {success!r} and {worst!r}"
+        )

@@ -102,6 +102,11 @@ _MASK64 = (1 << 64) - 1
 #: holds O(_BLOCK_PULSES) numbers whatever the cascade depth.
 _BLOCK_PULSES = 1 << 12
 
+#: Draw indices of ``_uniform``: Alice's basis, bit and detection draw per
+#: pulse, then Bob's basis and measurement draw per detected pulse.
+_ALICE_DRAWS = np.arange(3, dtype=np.uint64)[:, None]
+_BOB_DRAWS = np.arange(3, 5, dtype=np.uint64)[:, None]
+
 #: Fewest Haar draws in a block that ``sample_coefficients`` makes in one
 #: pass: its fixed cost is about that of this many ``sample_noise`` calls.
 _BATCH_DRAWS = 16
@@ -119,9 +124,17 @@ def _derived_seed(master: int, index: int, domain: int = 0) -> int:
     return _mix64(x & _MASK64)
 
 
-def _uniform(master: int, pulse: int, which: int) -> float:
-    """Deterministic uniform in [0, 1) from (seed, pulse index, draw index)."""
-    return _mix64(_derived_seed(master, pulse) ^ (0x632BE59BD9B4E019 * (which + 1) & _MASK64)) / 2.0 ** 64
+def _uniform(master: int, pulse, which):
+    """Deterministic uniform in [0, 1) from (seed, pulse index, draw index).
+
+    ``pulse`` and ``which`` are ints or uint64 arrays that broadcast
+    together; each pulse's seed is derived once for all its draw indices.
+    """
+    u = _mix64(_derived_seed(master, pulse) ^ (0x632BE59BD9B4E019 * (which + 1) & _MASK64)) / 2.0 ** 64
+    # a word of 2**64 - 1024 or more rounds to 1.0, which would make a certain
+    # outcome (u < 1.0) fail: it becomes the largest double below 1, and an
+    # int pulse still gets a Python float
+    return u - (u == 1.0) * 2.0 ** -53
 
 
 def _gate_map(table: CorrectionTable, encoder, decoder) -> dict:
@@ -210,10 +223,10 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
         draw = (pulse // refresh - first).astype(np.intp)
         branch_weight = (np.abs(coefficients) ** 2).T[:, draw]  # (branch, pulse)
 
-        alice_basis = _uniform(cfg.seed, pulse, 0) < 0.5
-        alice_bit = _uniform(cfg.seed, pulse, 1) < 0.5
+        alice_basis, alice_bit, u = _uniform(cfg.seed, pulse, _ALICE_DRAWS)
+        alice_basis, alice_bit = alice_basis < 0.5, alice_bit < 0.5
         state = 2 * alice_basis + alice_bit
-        u = _uniform(cfg.seed, pulse, 2) / cfg.eta
+        u /= cfg.eta
         hit = np.full(len(pulse), -1)
         for j, k in enumerate(branch):
             p = weights[j][state] * branch_weight[k]
@@ -222,8 +235,9 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
 
         found = np.flatnonzero(hit >= 0)
         detected += len(found)
-        bob_basis = _uniform(cfg.seed, pulse[found], 3) < 0.5
-        found = found[bob_basis == alice_basis[found]]
+        bob_basis, bob_u = _uniform(cfg.seed, pulse[found], _BOB_DRAWS)
+        same = (bob_basis < 0.5) == alice_basis[found]
+        found, bob_u = found[same], bob_u[same]
         sifted += len(found)
 
         hit_bin = hit[found]
@@ -235,7 +249,7 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
         # keeps impossible outcomes impossible despite float residue
         p_one[p_one < 1e-12] = 0.0
         p_one[p_one > 1.0 - 1e-12] = 1.0
-        bob_bit = _uniform(cfg.seed, pulse[found], 4) < p_one
+        bob_bit = bob_u < p_one
         errors += int(np.count_nonzero(bob_bit != alice_bit[found]))
 
     return Bb84Stats(sent=cfg.pulses, detected=detected, sifted=sifted, errors=errors)

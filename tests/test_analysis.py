@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from timebinsim import analysis
 from timebinsim.analysis import (
     BRANCHES,
     BranchId,
     Correction,
+    _slots,
     analyze,
     correction_table,
     min_fidelity,
@@ -213,3 +217,75 @@ def test_all_branches_present_in_order():
     q = random_qubit(np.random.default_rng(9))
     reports = analyze(table.transmit(q, NoiseParams.identity()), table, q)
     assert tuple(r.branch for r in reports) == BRANCHES
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("convention", [SYM, SURF])
+@pytest.mark.parametrize("ensemble", [IDENTITY, HAAR, GENERAL, dephasing(1.0)], ids=lambda e: e.kind)
+def test_sweep_samples_equal_the_interpreter(ensemble, convention, stages):
+    # every sample evaluated from the slot maps against analyze() of the interpreted state
+    enc, dec = encoder_spec_for(stages, convention), DecoderSpec(0, convention)
+    seed = 31 * stages
+    result = success_probability_sweep(enc, dec, ensemble, samples=4, seed=seed)
+    table = correction_table(enc, dec)
+    for i, sample in enumerate(result.samples):
+        assert sample.params == sample_noise(ensemble, seed + i)
+        q = random_qubit(np.random.default_rng((seed, i)))
+        reports = analyze(table.transmit(q, sample.params), table, q)
+        assert abs(sample.success - total_success(reports)) <= 1e-14
+        assert abs(sample.min_fidelity - min_fidelity(reports)) <= 1e-14
+
+
+@pytest.mark.parametrize("stages", [1, 3])
+@pytest.mark.parametrize("convention", [SYM, SURF])
+def test_slot_maps_reproduce_every_interpreted_slot(convention, stages):
+    # success and fidelity cannot see a slot given the wrong branch; its amplitudes can
+    enc, dec = encoder_spec_for(stages, convention), DecoderSpec(0, convention)
+    table = correction_table(enc, dec)
+    rng = np.random.default_rng(stages)
+    for seed in range(3):
+        params, q = sample_noise(GENERAL, seed), random_qubit(rng)
+        slots = _slots(table.transmit(q, params), table.windows)
+        compiled = np.array(params.coefficients())[table.slot_branch, None] \
+            * (table.slot_maps @ np.array([q.alpha, q.beta]))
+        interpreted = np.array([slots.get(key, (0j, 0j)) for key in table.windows])
+        assert np.abs(compiled - interpreted).max() <= 1e-14
+
+
+def test_table_slot_arrays_are_read_only():
+    table = correction_table(encoder_spec_for(2, SYM), DecoderSpec(0, SYM))
+    arrays = (table.slot_maps, table.slot_branch, table.slot_accepted, table.slot_paulis)
+    assert len(table.slot_maps) == len(table.slot_branch) == len(table.slot_accepted) == len(table.windows)
+    assert len(table.slot_paulis) == table.slot_accepted.sum() == len(table.entries)
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("cap", [1, 40, 100, 250])
+def test_sweep_blocks_do_not_change_the_samples(cap, monkeypatch):
+    # 20 slots at stage 1: blocks of 1, 2, 5 and 12 samples straddle the 30 samples
+    enc, dec = EncoderSpec(1, 64, SURF), DecoderSpec(0, SURF)
+    whole = success_probability_sweep(enc, dec, GENERAL, samples=30, seed=6)
+    monkeypatch.setattr(analysis, "_BLOCK_SLOTS", cap)
+    assert success_probability_sweep(enc, dec, GENERAL, samples=30, seed=6) == whole
+
+
+def _flip_first_pauli(table):
+    paulis = table.slot_paulis.copy()
+    paulis[0] = paulis[0][::-1]  # rows swapped: a different Pauli, up to a phase
+    return dataclasses.replace(table, slot_paulis=paulis)
+
+
+def _scale_first_accepted_map(table):
+    maps = table.slot_maps.copy()
+    maps[np.flatnonzero(table.slot_accepted)[0]] *= 1.01
+    return dataclasses.replace(table, slot_maps=maps)
+
+
+@pytest.mark.parametrize("mutate", [_flip_first_pauli, _scale_first_accepted_map])
+def test_a_wrong_slot_array_stops_the_sweep(mutate, monkeypatch):
+    original = analysis.correction_table
+    monkeypatch.setattr(analysis, "correction_table", lambda enc, dec: mutate(original(enc, dec)))
+    with pytest.raises(RuntimeError, match="seed 12"):
+        success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), HAAR, samples=3, seed=12)

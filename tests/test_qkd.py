@@ -201,6 +201,21 @@ def test_uniform_over_pulse_arrays_is_the_scalar_stream(seed):
     for which in range(5):
         batched = qkd._uniform(seed, np.array(pulses, dtype=np.uint64), which)
         assert batched.tolist() == [qkd._uniform(seed, p, which) for p in pulses]
+    # every (which, pulse) pair in one call, as simulate_bb84 draws them
+    grid = qkd._uniform(seed, np.array(pulses, dtype=np.uint64), np.arange(5, dtype=np.uint64)[:, None])
+    assert grid.tolist() == [[qkd._uniform(seed, p, which) for p in pulses] for which in range(5)]
+
+
+def test_uniform_stays_below_one(monkeypatch):
+    # (2**64 - 1) / 2.0**64 rounds to 1.0; u < p_one must hold for p_one = 1
+    top = 2**64 - 1
+    monkeypatch.setattr(qkd, "_mix64", lambda x: np.full(np.shape(x), top, dtype=np.uint64)
+                        if isinstance(x, np.ndarray) else top)
+    below_one = np.nextafter(1.0, 0.0)
+    scalar = qkd._uniform(3, 5, 4)
+    assert type(scalar) is float and scalar == below_one
+    batched = qkd._uniform(3, np.arange(4, dtype=np.uint64), np.arange(2, dtype=np.uint64)[:, None])
+    assert batched.shape == (2, 4) and (batched == below_one).all()
 
 
 def test_a_wrong_correction_gives_sifted_errors(monkeypatch):

@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 from timebinsim import (
+    Correction,
     DecoderSpec,
     EncoderSpec,
     HAAR,
@@ -26,8 +27,9 @@ from timebinsim import (
 table = correction_table(EncoderSpec(stages=1, dT=64), DecoderSpec())
 
 print("derived corrections (branch, bin) -> Pauli:")
-for (branch, tick), correction in sorted(table.entries.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
-    print(f"  {branch.name} bin {tick}: {correction.value}")
+for (branch, tick), index in zip(table.windows.values(), table.slot_correction):
+    if index >= 0:
+        print(f"  {branch.name} bin {tick}: {list(Correction)[index].value}")
 
 qubit = random_qubit(np.random.default_rng(1))
 params = sample_noise(HAAR, seed=7)

@@ -58,15 +58,9 @@ class BranchId(Enum):
             ticks += decoder.dTprime
         return ticks
 
-    def coefficient(self, params: NoiseParams) -> complex:
-        return getattr(params, _COEFFICIENT_NAMES[self])
 
-    def weight(self, params: NoiseParams) -> float:
-        return abs(self.coefficient(params)) ** 2 / 2.0
-
-
+#: The branches in the order of ``NoiseParams.coefficients()``: (d1, g1, d2, g2).
 BRANCHES = (BranchId.P1H, BranchId.P1V, BranchId.P2H, BranchId.P2V)
-_COEFFICIENT_NAMES = {BranchId.P1H: "d1", BranchId.P1V: "g1", BranchId.P2H: "d2", BranchId.P2V: "g2"}
 
 
 class Correction(Enum):
@@ -101,15 +95,14 @@ class CorrectionDerivationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CorrectionTable:
-    """The link: its circuits, its detection windows and the Pauli per (branch, bin).
+    """The link: its circuits, its detection windows and each slot's map and Pauli.
 
     Bins are counted from each group's arrival. The table also carries
-    the decoded basis states and, slot by slot, the link's linear map.
+    the decoded basis states.
     """
 
     encoder: EncoderSpec
     decoder: DecoderSpec
-    entries: dict  # (BranchId, int) -> Correction
     encoder_circuit: Circuit
     decoder_circuit: Circuit
     #: Decoded (H input, V input) under the identity channel, then under
@@ -124,14 +117,9 @@ class CorrectionTable:
     #: slot's amplitudes are ``coefficient[slot_branch] * slot_maps @ qubit``.
     slot_maps: np.ndarray = field(compare=False)
     slot_branch: np.ndarray = field(compare=False)
-    #: Read-only: which slots are accepted bins, and each accepted slot's
-    #: Pauli matrix, in slot order.
-    slot_accepted: np.ndarray = field(compare=False)
-    slot_paulis: np.ndarray = field(compare=False)
-
-    @property
-    def bins_per_group(self) -> int:
-        return self.encoder.bins_per_group
+    #: Read-only, per window slot: the index into ``_CORRECTIONS`` of the
+    #: Pauli that restores the qubit, or -1 for a discarded slot.
+    slot_correction: np.ndarray = field(compare=False)
 
     def transmit(self, qubit: QubitSpec, params: NoiseParams) -> PhotonState:
         """Encode ``qubit``, corrupt the fiber collectively with ``params``, decode."""
@@ -205,25 +193,20 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
     # rank-deficient edge bins have lost information and are discarded, as
     # are the slots no basis run reached
     full_rank = singulars[:, -1] > 1e-9 * singulars[:, 0]
-    paulis = _find_paulis(stacked)
-    entries = {}
-    for key, accept, index in zip(maps, full_rank, paulis):
-        if not accept:
-            continue
-        branch, t = windows[key]
-        if index < 0:
-            raise CorrectionDerivationError(
-                f"bin {t} of branch {branch.name} is not Pauli-correctable; "
-                f"the element conventions are inconsistent"
-            )
-        entries[(branch, t)] = _CORRECTIONS[index]
+    slot_correction = np.where(full_rank, _find_paulis(stacked), -1)
+    underived = full_rank & (slot_correction < 0)
+    if underived.any():
+        branch, t = list(windows.values())[underived.argmax()]
+        raise CorrectionDerivationError(
+            f"bin {t} of branch {branch.name} is not Pauli-correctable; "
+            f"the element conventions are inconsistent"
+        )
     # check_compatible keeps the windows disjoint: n + 1 slots per branch
     slot_branch = np.repeat(np.arange(len(BRANCHES)), n + 1)
-    slot_paulis = _PAULI_MATRICES[paulis[full_rank]]
-    for array in (stacked, slot_branch, full_rank, slot_paulis):
+    for array in (stacked, slot_branch, slot_correction):
         array.flags.writeable = False
-    return CorrectionTable(encoder, decoder, entries, enc_c, dec_c, tuple(outputs), windows,
-                           stacked, slot_branch, full_rank, slot_paulis)
+    return CorrectionTable(encoder, decoder, enc_c, dec_c, tuple(outputs), windows,
+                           stacked, slot_branch, slot_correction)
 
 
 class AcceptedBin(NamedTuple):
@@ -297,7 +280,7 @@ def analyze(state: PhotonState, table: CorrectionTable, qubit: QubitSpec) -> lis
     """
     slots = _slots(state, table.windows)
     groups = []
-    for (port, tick), (branch, t) in table.windows.items():
+    for ((port, tick), (branch, t)), index in zip(table.windows.items(), table.slot_correction.tolist()):
         if t == 0:  # a new window opens at its group's arrival tick
             accepted, discarded = [], []
             groups.append((branch, port, tick, accepted, discarded))
@@ -306,10 +289,10 @@ def analyze(state: PhotonState, table: CorrectionTable, qubit: QubitSpec) -> lis
             continue
         a_h, a_v = pair
         p = abs(a_h) ** 2 + abs(a_v) ** 2
-        correction = table.entries.get((branch, t))
-        if correction is None:
+        if index < 0:
             discarded.append(DiscardedBin(port, t, p))
             continue
+        correction = _CORRECTIONS[index]
         c_h, c_v = correction.apply(a_h, a_v)
         overlap = qubit.alpha.conjugate() * c_h + qubit.beta.conjugate() * c_v
         accepted.append(AcceptedBin(port, t, correction, p, abs(overlap) ** 2 / p))
@@ -354,14 +337,14 @@ def _evaluate(table: CorrectionTable, coefficients: np.ndarray, qubits: np.ndarr
     interpreted state, a slot without probability has no fidelity, and a
     sample with none has worst fidelity 1.0.
     """
-    accepted = table.slot_accepted
+    accepted = table.slot_correction >= 0
     maps = table.slot_maps[accepted]
     c = coefficients[:, table.slot_branch[accepted]]
     q_h, q_v = qubits[:, :1], qubits[:, 1:]
     a_h = c * (maps[:, 0, 0] * q_h + maps[:, 0, 1] * q_v)
     a_v = c * (maps[:, 1, 0] * q_h + maps[:, 1, 1] * q_v)
     p = np.abs(a_h) ** 2 + np.abs(a_v) ** 2
-    paulis = table.slot_paulis
+    paulis = _PAULI_MATRICES[table.slot_correction[accepted]]
     c_h = paulis[:, 0, 0] * a_h + paulis[:, 0, 1] * a_v
     c_v = paulis[:, 1, 0] * a_h + paulis[:, 1, 1] * a_v
     overlap = q_h.conj() * c_h + q_v.conj() * c_v

@@ -190,8 +190,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    if args.max_stages > 6:
-        raise ValueError("scaling beyond 6 stages is not desk-scale; choose <= 6")
+    if not 1 <= args.max_stages <= 6:
+        raise ValueError("--max-stages must be 1 to 6: scaling beyond 6 stages is not desk-scale")
     convention = BsConvention(args.convention)
     rows = []
     for stages in range(1, args.max_stages + 1):

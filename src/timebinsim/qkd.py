@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import BRANCHES, CorrectionTable, _slots, correction_table
+from .analysis import _CORRECTIONS, BRANCHES, CorrectionTable, _slots, correction_table
 from .circuits import DecoderSpec, encoder_spec_for
 # ``run`` and ``_apply_collective_noise`` are the per-pulse chain that the
 # compiled map stands for; they stay bound here for the reference oracle in
@@ -142,8 +142,8 @@ def _gate_map(table: CorrectionTable, encoder, decoder) -> dict:
 
     ``encoder`` and ``decoder`` are not read: the table's windows carry the layout.
     """
-    entries = table.entries
-    return {key: entries[bin_] for key, bin_ in table.windows.items() if bin_ in entries}
+    return {key: _CORRECTIONS[index]
+            for key, index in zip(table.windows, table.slot_correction.tolist()) if index >= 0}
 
 
 def _detection_events(out: PhotonState, gates: dict) -> list:

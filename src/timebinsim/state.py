@@ -88,7 +88,7 @@ def random_qubit(rng) -> QubitSpec:
 class PhotonState:
     """Finite map mode -> complex amplitude.
 
-    The map is kept sparse: entries below ``PRUNE_THRESHOLD`` in magnitude
+    The map is kept sparse: amplitudes below ``PRUNE_THRESHOLD`` in magnitude
     are dropped on construction. Treat instances as immutable values; all
     transformations produce new states.
     """

@@ -12,6 +12,7 @@ import pytest
 
 from _circgen import corrupt_text, random_circuit, random_lossless_chain
 from timebinsim.analysis import (
+    BRANCHES,
     BranchId,
     Correction,
     analyze,
@@ -145,9 +146,11 @@ def test_criterion_6_perfect_reconstruction_and_receiver_rule():
     table = correction_table(enc, dec)
 
     I, X = Correction.IDENTITY, Correction.BIT_FLIP
-    rule = {t: c for (b, t), c in table.entries.items() if b is BranchId.P1H}
+    derived = {bin_: list(Correction)[i] for bin_, i in zip(table.windows.values(), table.slot_correction)
+               if i >= 0}
+    rule = {t: c for (b, t), c in derived.items() if b is BranchId.P1H}
     assert rule == {1: I, 2: X, 3: I}
-    rule_alt = {t: c for (b, t), c in table.entries.items() if b is BranchId.P1V}
+    rule_alt = {t: c for (b, t), c in derived.items() if b is BranchId.P1V}
     assert rule_alt == {1: X, 2: I, 3: X}
 
     enc_c = build_encoder(enc)
@@ -181,7 +184,8 @@ def test_criterion_7_branch_weights_and_edge_discards():
         q = random_qubit(rng)
         noisy = apply_collective_noise(run(enc_c, new_state(q)), params, CHANNEL)
         for r in analyze(run(dec_c, noisy), table, q):
-            worst = max(worst, abs(r.total_probability - r.branch.weight(params)))
+            weight = abs(params.coefficients()[BRANCHES.index(r.branch)]) ** 2 / 2
+            worst = max(worst, abs(r.total_probability - weight))
             if r.accepted:
                 assert [b.tick for b in r.discarded] == [0, enc.bins_per_group]
     assert worst < 1e-9

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from timebinsim import analysis
+from timebinsim import analysis, circuits
 from timebinsim.analysis import (
     BRANCHES,
     BranchId,
     Correction,
+    CorrectionDerivationError,
     _slots,
     analyze,
     correction_table,
@@ -32,7 +33,8 @@ I, X, Z, Y = (
 
 
 def table_of(branch, table):
-    return {t: c for (b, t), c in table.entries.items() if b is branch}
+    return {t: list(Correction)[i] for (b, t), i in zip(table.windows.values(), table.slot_correction)
+            if b is branch and i >= 0}
 
 
 def test_surface_table_matches_receiver_rule():
@@ -124,7 +126,8 @@ def test_branch_weights_and_discards():
         params = sample_noise(GENERAL, seed)
         reports = analyze(table.transmit(q, params), table, q)
         for r in reports:
-            assert r.total_probability == pytest.approx(r.branch.weight(params), abs=1e-9)
+            weight = abs(params.coefficients()[BRANCHES.index(r.branch)]) ** 2 / 2
+            assert r.total_probability == pytest.approx(weight, abs=1e-9)
             ticks = [b.tick for b in r.discarded]
             assert ticks == [0, enc.bins_per_group]
             assert [b.tick for b in r.accepted] == list(range(1, enc.bins_per_group))
@@ -254,9 +257,10 @@ def test_slot_maps_reproduce_every_interpreted_slot(convention, stages):
 
 def test_table_slot_arrays_are_read_only():
     table = correction_table(encoder_spec_for(2, SYM), DecoderSpec(0, SYM))
-    arrays = (table.slot_maps, table.slot_branch, table.slot_accepted, table.slot_paulis)
-    assert len(table.slot_maps) == len(table.slot_branch) == len(table.slot_accepted) == len(table.windows)
-    assert len(table.slot_paulis) == table.slot_accepted.sum() == len(table.entries)
+    arrays = (table.slot_maps, table.slot_branch, table.slot_correction)
+    assert len(table.slot_maps) == len(table.slot_branch) == len(table.slot_correction) == len(table.windows)
+    # n - 1 accepted interior bins of n + 1 slots per branch, n = 8
+    assert (table.slot_correction >= 0).sum() == 4 * 7
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 0
@@ -271,21 +275,41 @@ def test_sweep_blocks_do_not_change_the_samples(cap, monkeypatch):
     assert success_probability_sweep(enc, dec, GENERAL, samples=30, seed=6) == whole
 
 
-def _flip_first_pauli(table):
-    paulis = table.slot_paulis.copy()
-    paulis[0] = paulis[0][::-1]  # rows swapped: a different Pauli, up to a phase
-    return dataclasses.replace(table, slot_paulis=paulis)
+def _mutated_sweep(mutate, monkeypatch):
+    original = analysis.correction_table
+    monkeypatch.setattr(analysis, "correction_table", lambda enc, dec: mutate(original(enc, dec)))
+    return success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), HAAR, samples=3, seed=12)
 
 
 def _scale_first_accepted_map(table):
     maps = table.slot_maps.copy()
-    maps[np.flatnonzero(table.slot_accepted)[0]] *= 1.01
+    maps[np.flatnonzero(table.slot_correction >= 0)[0]] *= 1.01
     return dataclasses.replace(table, slot_maps=maps)
 
 
-@pytest.mark.parametrize("mutate", [_flip_first_pauli, _scale_first_accepted_map])
-def test_a_wrong_slot_array_stops_the_sweep(mutate, monkeypatch):
-    original = analysis.correction_table
-    monkeypatch.setattr(analysis, "correction_table", lambda enc, dec: mutate(original(enc, dec)))
+def _flip_first_correction(table):
+    corrections = table.slot_correction.copy()
+    corrections[np.flatnonzero(corrections >= 0)[0]] ^= 1  # I <-> X, Z <-> Y
+    return dataclasses.replace(table, slot_correction=corrections)
+
+
+def test_a_wrong_slot_map_stops_the_sweep(monkeypatch):
+    # the slot maps disagree with the interpreter, so sample 0 raises
     with pytest.raises(RuntimeError, match="seed 12"):
-        success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), HAAR, samples=3, seed=12)
+        _mutated_sweep(_scale_first_accepted_map, monkeypatch)
+
+
+def test_a_wrong_correction_shows_as_fidelity_loss(monkeypatch):
+    # the one record of a slot's Pauli feeds both the slot maps and the
+    # interpreter, so they agree, and the wrong Pauli costs fidelity
+    result = _mutated_sweep(_flip_first_correction, monkeypatch)
+    assert max(s.min_fidelity for s in result.samples) < 0.6
+
+
+@pytest.mark.parametrize("stages", [1, 3])
+@pytest.mark.parametrize("convention", [SYM, SURF])
+def test_an_uncorrectable_bin_raises_the_derivation_error(convention, stages, monkeypatch):
+    # without the decoder's arm phase no single Pauli undoes the first interior bin
+    monkeypatch.setattr(circuits, "DECODER_ARM_PHASE", 0.0)
+    with pytest.raises(CorrectionDerivationError, match="bin 1 of branch P1H"):
+        correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))

@@ -116,9 +116,12 @@ def test_scaling_json_same_numbers(tmp_path):
         assert float(row[3]) == entry["success"]
 
 
-def test_scaling_rejects_excessive_depth(capsys):
-    assert main(["scaling", "--max-stages", "9"]) == 2
-    assert "6" in capsys.readouterr().err
+@pytest.mark.parametrize("max_stages", ["9", "0", "-1"])
+def test_scaling_rejects_a_depth_outside_1_to_6(max_stages, tmp_path, capsys):
+    out = tmp_path / "scaling.csv"
+    assert main(["scaling", "--max-stages", max_stages, "--out", str(out)]) == 2
+    assert "1 to 6" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "qkd"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from timebinsim import qkd
-from timebinsim.analysis import BRANCHES, Correction, correction_table
+from timebinsim.analysis import _PAULI_MATRICES, Correction, correction_table
 from timebinsim.circuits import CHANNEL, CircuitError, DecoderSpec, encoder_spec_for
 from timebinsim.elements import _INV_SQRT2, BsConvention
 from timebinsim.noise import GENERAL, HAAR, IDENTITY, dephasing, sample_noise
@@ -170,7 +170,7 @@ def test_compiled_bins_match_the_interpreter(convention, stages):
     for seed in range(5):
         params = sample_noise(GENERAL, seed)
         q = random_qubit(rng)
-        coefficients = np.array([b.coefficient(params) for b in BRANCHES])
+        coefficients = np.array(params.coefficients())
         compiled = coefficients[branch, None] * (maps @ np.array([q.alpha, q.beta]))
         events = qkd._detection_events(table.transmit(q, params), gates)
         # bins are compared order-free: by their probabilities and their summed amplitudes
@@ -179,6 +179,21 @@ def test_compiled_bins_match_the_interpreter(convention, stages):
             sorted(p for _key, p, _h, _v in events), abs=1e-12)
         assert compiled.sum(axis=0) == pytest.approx(
             np.sum([(c_h, c_v) for _key, _p, c_h, c_v in events], axis=0), abs=1e-12)
+
+
+def _bins(branch, maps):
+    """Sortable (branch, map) per bin; adding 0.0 turns -0.0 into 0.0."""
+    return sorted(zip(branch.tolist(), (maps + 0.0).view(float).reshape(len(maps), -1).tolist()))
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("convention", list(BsConvention))
+def test_compiled_link_is_the_tables_corrected_slots(convention, stages):
+    # each compiled bin is, bit for bit, Pauli @ map of one accepted table slot of its branch
+    table = correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))
+    accepted = table.slot_correction >= 0
+    corrected = _PAULI_MATRICES[table.slot_correction[accepted]] @ table.slot_maps[accepted]
+    assert _bins(*qkd._compile_link(table)) == _bins(table.slot_branch[accepted], corrected)
 
 
 @pytest.mark.parametrize("stages", [1, 2, 3])

@@ -34,7 +34,8 @@ from .circuits import (
     check_compatible,
     run,
 )
-from .noise import NoiseEnsemble, NoiseParams, _apply_collective_noise, sample_noise
+from .noise import (NoiseEnsemble, NoiseParams, _apply_collective_noise, _draw_noise,
+                    _seeded_generators, sample_noise)
 from .state import PhotonState, Polarization, QubitSpec, new_state, random_qubit
 
 H = Polarization.H
@@ -123,12 +124,11 @@ class CorrectionTable:
 
     def transmit(self, qubit: QubitSpec, params: NoiseParams) -> PhotonState:
         """Encode ``qubit``, corrupt the fiber collectively with ``params``, decode."""
-        return _transmit(self.encoder_circuit, self.decoder_circuit, qubit, params)
+        return _decode(self.decoder_circuit, run(self.encoder_circuit, new_state(qubit)), params)
 
 
-def _transmit(enc_c: Circuit, dec_c: Circuit, qubit: QubitSpec, params: NoiseParams) -> PhotonState:
-    """The one encode -> collective noise -> decode chain."""
-    sent = run(enc_c, new_state(qubit))
+def _decode(dec_c: Circuit, sent: PhotonState, params: NoiseParams) -> PhotonState:
+    """Corrupt the sent train collectively with ``params`` and decode it."""
     noisy = PhotonState._from_clean(_apply_collective_noise(sent.amplitudes, params, {CHANNEL}))
     return run(dec_c, noisy)
 
@@ -144,16 +144,16 @@ def _slots(state: PhotonState, keep) -> dict:
 
 
 def _find_paulis(maps: np.ndarray) -> np.ndarray:
-    """Per 2x2 map m, the index in ``_CORRECTIONS`` of the first Pauli P with
-    P @ m proportional to the identity, else -1."""
-    scale = 1e-9 * np.abs(maps).max(axis=(1, 2))
-    found = np.full(len(maps), -1)
-    for index, pauli in enumerate(_PAULI_MATRICES):
-        r = pauli @ maps
-        match = (np.abs(r[:, 0, 1]) <= scale) & (np.abs(r[:, 1, 0]) <= scale) \
-            & (np.abs(r[:, 0, 0] - r[:, 1, 1]) <= scale)
-        found[match & (found < 0)] = index
-    return found
+    """Per 2x2 map m, the index in ``_CORRECTIONS`` of the first Pauli P with P @ m
+    proportional to the identity, else -1: as P @ P = 1, m proportional to P. I and Z
+    vanish off the diagonal, X and Y on it, and the other pair is equal (I, X) or opposite."""
+    entries = maps.reshape(-1, 4)
+    scale = 1e-9 * np.abs(entries).max(axis=1, keepdims=True)
+    small = np.abs(entries) <= scale
+    other = entries[:, [3, 2]]
+    pair = np.abs(np.hstack((entries[:, :2] - other, entries[:, :2] + other))) <= scale
+    match = pair & small[:, [1, 0, 1, 0]] & small[:, [2, 3, 2, 3]]
+    return np.where(match.any(axis=1), match.argmax(axis=1), -1)
 
 
 def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTable:
@@ -171,29 +171,29 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
     n = encoder.bins_per_group
     windows = {}
     for branch in BRANCHES:
-        offset = branch.offset(encoder, decoder)
-        windows.update({(branch.port, offset + t): (branch, t) for t in range(n + 1)})
+        port, offset = branch.port, branch.offset(encoder, decoder)
+        windows.update({(port, offset + t): (branch, t) for t in range(n + 1)})
 
-    # per window slot, the 2x2 map from the sent (H, V) amplitudes
-    maps = {key: np.zeros((2, 2), dtype=complex) for key in windows}
-    outputs = []
-    for params in (NoiseParams.identity(), NoiseParams.bit_flip()):
-        pair = []
-        for col, qubit in enumerate((QubitSpec.horizontal(), QubitSpec.vertical())):
-            out = _transmit(enc_c, dec_c, qubit, params)
-            pair.append(out)
-            for key, (a_h, a_v) in _slots(out, windows).items():
-                m = maps[key]
-                m[0, col] = a_h
-                m[1, col] = a_v
-        outputs.append(tuple(pair))
+    # the sent train does not depend on the channel: encode each basis state once
+    sent = [run(enc_c, new_state(q)) for q in (QubitSpec.horizontal(), QubitSpec.vertical())]
+    outputs = tuple(tuple(_decode(dec_c, train, params) for train in sent)
+                    for params in (NoiseParams.identity(), NoiseParams.bit_flip()))
+    # per window slot, the 2x2 map from the sent (H, V) amplitudes, row-major
+    first = dict(zip(windows, range(0, 4 * len(windows), 4)))
+    entries = [0j] * (4 * len(windows))
+    for pair in outputs:
+        for col, out in enumerate(pair):
+            for (port, pol, tick), a in out.amplitudes.items():
+                k = first.get((port, tick))
+                if k is not None:
+                    entries[k + (col if pol is H else 2 + col)] = a
+    maps = np.array(entries, dtype=complex).reshape(-1, 2, 2)
 
-    stacked = np.array(list(maps.values()))
-    singulars = np.linalg.svd(stacked, compute_uv=False)
-    # rank-deficient edge bins have lost information and are discarded, as
-    # are the slots no basis run reached
-    full_rank = singulars[:, -1] > 1e-9 * singulars[:, 0]
-    slot_correction = np.where(full_rank, _find_paulis(stacked), -1)
+    # rank-deficient edge bins have lost information and are discarded, as are the slots
+    # no basis run reached; |det m| = s1 s2 and ||m||_F^2 = s1^2 + s2^2 (singular values)
+    m00, m01, m10, m11 = maps.reshape(-1, 4).T
+    full_rank = np.abs(m00 * m11 - m01 * m10) > 1e-9 * (np.abs(maps) ** 2).sum(axis=(1, 2))
+    slot_correction = np.where(full_rank, _find_paulis(maps), -1)
     underived = full_rank & (slot_correction < 0)
     if underived.any():
         branch, t = list(windows.values())[underived.argmax()]
@@ -203,10 +203,10 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
         )
     # check_compatible keeps the windows disjoint: n + 1 slots per branch
     slot_branch = np.repeat(np.arange(len(BRANCHES)), n + 1)
-    for array in (stacked, slot_branch, slot_correction):
+    for array in (maps, slot_branch, slot_correction):
         array.flags.writeable = False
-    return CorrectionTable(encoder, decoder, enc_c, dec_c, tuple(outputs), windows,
-                           stacked, slot_branch, slot_correction)
+    return CorrectionTable(encoder, decoder, enc_c, dec_c, outputs, windows,
+                           maps, slot_branch, slot_correction)
 
 
 class AcceptedBin(NamedTuple):
@@ -363,10 +363,11 @@ def success_probability_sweep(
     """Success probability over many channel draws; must pin to (N-1)/N.
 
     Deterministic per seed: sample i uses noise seed ``seed + i`` and a
-    random input qubit derived from the same pair. Samples are evaluated
-    in blocks from the table's slot maps; sample 0 also runs through the
-    interpreter and ``analyze``, and a disagreement beyond 1e-12 raises
-    RuntimeError.
+    random input qubit from ``default_rng((seed, i))``, both drawn from one
+    generator set to each seed's state, and evaluated in blocks from the
+    table's slot maps. Sample 0 is also drawn from its own generators and
+    interpreted; a draw differing in any bit, or an ``analyze`` result
+    differing by more than 1e-12, raises RuntimeError.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -375,24 +376,32 @@ def success_probability_sweep(
     target = (n - 1) / n
 
     per_block = max(1, _BLOCK_SLOTS // len(table.windows))
+    gen = np.random.default_rng(0)  # its state is set before every draw
     rows = []
     for start in range(0, samples, per_block):
         block = range(start, min(start + per_block, samples))
-        params = [sample_noise(ensemble, seed + i) for i in block]
-        qubits = [random_qubit(np.random.default_rng((seed, i))) for i in block]
+        noise_rngs = _seeded_generators(gen, [seed + i for i in block])
+        params = [_draw_noise(ensemble, rng) for rng in noise_rngs]
+        qubits = [random_qubit(rng) for rng in _seeded_generators(gen, [(seed, i) for i in block])]
         success, worst = _evaluate(table, np.array([p.coefficients() for p in params], dtype=complex),
                                    np.array([(q.alpha, q.beta) for q in qubits], dtype=complex))
         rows += map(SweepSample, params, success.tolist(), worst.tolist())
         if start == 0:
-            _check_against_interpreter(table, params[0], qubits[0], rows[0], seed)
+            _check_sample_zero(table, ensemble, seed, params[0], qubits[0], rows[0])
 
     mean = sum(r.success for r in rows) / samples
     deviation = max(abs(r.success - target) for r in rows)
     return SweepResult(target=target, samples=tuple(rows), mean_success=mean, max_deviation=deviation)
 
 
-def _check_against_interpreter(table, params, qubit, row: SweepSample, seed: int):
-    """Raise RuntimeError unless ``row`` agrees with the interpreted sample within 1e-12."""
+def _check_sample_zero(table, ensemble, seed: int, params, qubit, row: SweepSample):
+    """Raise RuntimeError unless sample 0's draws are, bit for bit, ``sample_noise``'s and
+    ``default_rng((seed, 0))``'s, and ``row`` agrees with the interpreter within 1e-12."""
+    alone = (sample_noise(ensemble, seed), random_qubit(np.random.default_rng((seed, 0))))
+    draws = [np.array([*p.coefficients(), q.alpha, q.beta]) for p, q in ((params, qubit), alone)]
+    if draws[0].tobytes() != draws[1].tobytes():
+        raise RuntimeError(f"batched draw {draws[0].tolist()} of sweep sample 0 differs from "
+                           f"the unbatched {draws[1].tolist()} for seed {seed}")
     reports = analyze(table.transmit(qubit, params), table, qubit)
     success, worst = total_success(reports), min_fidelity(reports)
     if not (abs(row.success - success) <= 1e-12 and abs(row.min_fidelity - worst) <= 1e-12):

@@ -159,7 +159,13 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _check_seed(seed: int):
+    if seed < 0:  # numpy's own message would name no flag
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def cmd_sweep(args) -> int:
+    _check_seed(args.seed)
     convention = BsConvention(args.convention)
     result = success_probability_sweep(
         encoder_spec_for(args.stages, convention), DecoderSpec(0, convention),
@@ -190,6 +196,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scaling(args) -> int:
+    _check_seed(args.seed)
     if not 1 <= args.max_stages <= 6:
         raise ValueError("--max-stages must be 1 to 6: scaling beyond 6 stages is not desk-scale")
     convention = BsConvention(args.convention)

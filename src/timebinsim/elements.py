@@ -189,11 +189,3 @@ def _rename_channel(amps: dict, old: str, new: str) -> dict:
         return amps
     return {((new, pol, tick) if ch == old else (ch, pol, tick)): a for (ch, pol, tick), a in amps.items()}
 
-
-def bs_matrix(convention: BsConvention):
-    """The 2x2 coefficient map of a splitter, rows = outputs."""
-    import numpy as np
-
-    if convention is BsConvention.SYMMETRIC:
-        return np.array([[1.0, 1j], [1j, 1.0]]) * _INV_SQRT2
-    return np.array([[1.0, 1j], [-1j, 1.0]]) * _INV_SQRT2

@@ -124,16 +124,19 @@ def _haar_u2(rng) -> NoiseParams:
 
 def sample_noise(ensemble: NoiseEnsemble, seed: int) -> NoiseParams:
     """Deterministic draw: the same (ensemble, seed) always yields the same params."""
+    stochastic = ensemble.kind in ("haar", "general")
+    return _draw_noise(ensemble, np.random.default_rng(seed) if stochastic else None)
+
+
+def _draw_noise(ensemble: NoiseEnsemble, rng) -> NoiseParams:
+    """A draw from a numpy Generator, which the identity and dephasing ensembles do not read."""
     if ensemble.kind == "identity":
         return NoiseParams.identity()
     if ensemble.kind == "dephasing":
         return NoiseParams(1.0, 0.0, 0.0, cmath.exp(1j * ensemble.phi))
-    rng = np.random.default_rng(seed)
     if ensemble.kind == "haar":
         return _haar_u2(rng)
-    d1, g1 = _unit_vector(rng)
-    d2, g2 = _unit_vector(rng)
-    return NoiseParams(d1, g1, d2, g2)
+    return NoiseParams(*_unit_vector(rng), *_unit_vector(rng))  # (d1, g1), then (d2, g2)
 
 
 def sample_coefficients(ensemble: NoiseEnsemble, seeds) -> np.ndarray:
@@ -213,15 +216,16 @@ def _c_quot(a, b):
             np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
-# -- np.random.default_rng(seed).random(4) over arrays of seeds ---------------
+# -- np.random.default_rng(entropy) over many entropies ------------------------
 #
-# default_rng hashes the seed with numpy's SeedSequence into a PCG64 128-bit
+# default_rng hashes the entropy with numpy's SeedSequence into a PCG64 128-bit
 # state and increment; random() takes the top 53 bits of each XSL-RR output.
-# SeedSequence's hash constants advance per call, not per seed, so they are
-# precomputed; the seeding steps and the four outputs fold into one jump.
-# Constants from numpy/random/bit_generator.pyx and src/pcg64/pcg64.h.
+# SeedSequence's hash constants advance per call, not per entropy, so they are
+# precomputed; for random(4) the seeding steps and the four outputs fold into
+# one jump. Constants from numpy/random/bit_generator.pyx and src/pcg64/pcg64.h.
 
 _MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -279,16 +283,10 @@ def _add128(x, y):
     return xh + yh + (low < xl), low
 
 
-def _pcg64_random4(seeds: np.ndarray) -> np.ndarray:
-    """``np.random.default_rng(seed).random(4)`` per uint64 seed: a (draws, 4) array.
-
-    A seed below 2**64 is at most two 32-bit entropy words, and the pool
-    pads the missing ones with zeros, so every seed takes one path.
-    """
+def _seed_sequence(pool: np.ndarray):
+    """SeedSequence's PCG64 seed state and increment, (high, low) uint64 arrays each, per column
+    of a (4, entropies) uint32 pool; an entropy of fewer than four words is zero-padded alike."""
     xors, mults = _POOL_HASH
-    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
-    pool[0] = seeds & _MASK32
-    pool[1] = seeds >> 32
     pool = _hashmix(pool, xors[:4], mults[:4])
     for src in range(4):
         dst = [d for d in range(4) if d != src]
@@ -299,11 +297,45 @@ def _pcg64_random4(seeds: np.ndarray) -> np.ndarray:
     # generate_state(4, uint64): eight hashed words, paired little-endian
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_STATE_HASH).astype(np.uint64)
     seed_state_h, seed_state_l, seq_h, seq_l = words[0::2] | words[1::2] << 32
-    inc = (seq_h << 1 | seq_l >> 63, seq_l << 1 | 1)
-    high, low = _add128(_mul128((seed_state_h, seed_state_l), _STATE_JUMP), _mul128(inc, _INC_JUMP))
+    return (seed_state_h, seed_state_l), (seq_h << 1 | seq_l >> 63, seq_l << 1 | 1)
+
+
+def _pcg64_random4(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.default_rng(seed).random(4)`` per uint64 seed: a (draws, 4) array."""
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & _MASK32
+    pool[1] = seeds >> 32
+    seed_state, inc = _seed_sequence(pool)
+    high, low = _add128(_mul128(seed_state, _STATE_JUMP), _mul128(inc, _INC_JUMP))
     xored, rot = high ^ low, high >> 58
     out = xored >> rot | xored << (64 - rot & 63)
     return (out >> 11).T * 2.0 ** -53
+
+
+def _entropy_words(entropy) -> list[int]:
+    """SeedSequence's 32-bit words of a non-negative int, or of a tuple of them in turn."""
+    values = [operator.index(v) for v in (entropy if isinstance(entropy, tuple) else (entropy,))]
+    if min(values) < 0:
+        raise ValueError(f"seeds must be non-negative, got {min(values)}")
+    return [v >> shift & _MASK32 for v in values for shift in range(0, max(v.bit_length(), 1), 32)]
+
+
+def _seeded_generators(gen, entropies: list):
+    """Per entropy, ``gen`` (a ``Generator(PCG64)``) set to the state ``default_rng(entropy)``
+    starts in, valid until the next is drawn. Entropies of at most four 32-bit words
+    are hashed in one vectorized pass; a longer one gets its own ``default_rng``."""
+    words = [_entropy_words(e) for e in entropies]
+    pool = np.array([(w + [0, 0, 0])[:4] for w in words], dtype=np.uint32).reshape(-1, 4)
+    seed_states, incs = ([h << 64 | l for h, l in zip(high.tolist(), low.tolist())]
+                         for high, low in _seed_sequence(pool.T))
+    for entropy, w, seed_state, inc in zip(entropies, words, seed_states, incs):
+        if len(w) > 4:
+            yield np.random.default_rng(entropy)
+        else:  # the seeding steps from 0, adds the seed state and steps again
+            state = (seed_state + inc) * _PCG64_MULT + inc & _MASK128
+            gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                       "state": {"state": state, "inc": inc}}
+            yield gen
 
 
 def _apply_collective_noise(amps: dict, params: NoiseParams, channels) -> dict:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from timebinsim import analysis, circuits
+from timebinsim import analysis, circuits, noise
 from timebinsim.analysis import (
     BRANCHES,
     BranchId,
@@ -19,7 +19,7 @@ from timebinsim.analysis import (
 from timebinsim.circuits import DecoderSpec, EncoderSpec, encoder_spec_for
 from timebinsim.elements import BsConvention
 from timebinsim.noise import GENERAL, HAAR, IDENTITY, NoiseParams, dephasing, sample_noise
-from timebinsim.state import random_qubit
+from timebinsim.state import QubitSpec, random_qubit
 
 SYM = BsConvention.SYMMETRIC
 SURF = BsConvention.SURFACE_PHASES
@@ -313,3 +313,88 @@ def test_an_uncorrectable_bin_raises_the_derivation_error(convention, stages, mo
     monkeypatch.setattr(circuits, "DECODER_ARM_PHASE", 0.0)
     with pytest.raises(CorrectionDerivationError, match="bin 1 of branch P1H"):
         correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))
+
+
+# -- references for the batched sweep draws and the table's derivation ---------
+
+def reference_sweep(enc, dec, ensemble, samples, seed):
+    """The sweep as a per-sample loop that makes one default_rng per draw."""
+    table = correction_table(enc, dec)
+    per_block = max(1, analysis._BLOCK_SLOTS // len(table.windows))
+    rows = []
+    for start in range(0, samples, per_block):
+        block = range(start, min(start + per_block, samples))
+        params = [sample_noise(ensemble, seed + i) for i in block]
+        qubits = [random_qubit(np.random.default_rng((seed, i))) for i in block]
+        success, worst = analysis._evaluate(
+            table, np.array([p.coefficients() for p in params], dtype=complex),
+            np.array([(q.alpha, q.beta) for q in qubits], dtype=complex))
+        rows += map(analysis.SweepSample, params, success.tolist(), worst.tolist())
+    target = (enc.bins_per_group - 1) / enc.bins_per_group
+    return analysis.SweepResult(target, tuple(rows), sum(r.success for r in rows) / samples,
+                                max(abs(r.success - target) for r in rows))
+
+
+@pytest.mark.parametrize("seed", [3, 2**64 - 1])
+@pytest.mark.parametrize("samples", [1, 59, 60, 61, 130])
+@pytest.mark.parametrize("ensemble", [IDENTITY, HAAR, GENERAL, dephasing(1.0)], ids=lambda e: e.kind)
+def test_sweep_equals_the_per_sample_loop_bit_for_bit(ensemble, samples, seed):
+    # 60 samples make a block at stage 3; from seed 2**64 the noise seed takes three words
+    enc, dec = encoder_spec_for(3, SYM), DecoderSpec(0, SYM)
+    result = success_probability_sweep(enc, dec, ensemble, samples, seed)
+    assert repr(result) == repr(reference_sweep(enc, dec, ensemble, samples, seed))
+
+
+@pytest.mark.parametrize("stream", [int, tuple], ids=["noise", "qubit"])
+def test_a_batch_shifted_by_one_row_stops_the_sweep(stream, monkeypatch):
+    # the noise seeds are ints, the qubit entropies (seed, i) tuples
+    def shifted(gen, entropies):
+        if isinstance(entropies[0], stream):
+            entropies = entropies[1:] + entropies[:1]
+        return noise._seeded_generators(gen, entropies)
+
+    monkeypatch.setattr(analysis, "_seeded_generators", shifted)
+    with pytest.raises(RuntimeError, match="batched draw .* of sweep sample 0 .* for seed 5"):
+        success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), GENERAL, 3, 5)
+
+
+def test_a_negative_seed_raises_on_the_batched_path():
+    for ensemble in (IDENTITY, GENERAL):
+        with pytest.raises(ValueError, match="non-negative"):
+            success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), ensemble, 3, -1)
+
+
+def oracle_slot_maps(table):
+    """Each slot's map from four full transmits, one per basis state and channel setting."""
+    maps = {key: np.zeros((2, 2), dtype=complex) for key in table.windows}
+    for params in (NoiseParams.identity(), NoiseParams.bit_flip()):
+        for col, qubit in enumerate((QubitSpec.horizontal(), QubitSpec.vertical())):
+            for key, (a_h, a_v) in _slots(table.transmit(qubit, params), table.windows).items():
+                maps[key][:, col] = a_h, a_v
+    return np.array(list(maps.values()))
+
+
+def oracle_slot_correction(maps):
+    """The rank test by SVD and the Pauli match by four stacked matmuls."""
+    singulars = np.linalg.svd(maps, compute_uv=False)
+    full_rank = singulars[:, -1] > 1e-9 * singulars[:, 0]
+    scale = 1e-9 * np.abs(maps).max(axis=(1, 2))
+    found = np.full(len(maps), -1)
+    for index, pauli in enumerate(analysis._PAULI_MATRICES):
+        r = pauli @ maps
+        match = (np.abs(r[:, 0, 1]) <= scale) & (np.abs(r[:, 1, 0]) <= scale) \
+            & (np.abs(r[:, 0, 0] - r[:, 1, 1]) <= scale)
+        found[match & (found < 0)] = index
+    return np.where(full_rank, found, -1)
+
+
+@pytest.mark.parametrize("stages", range(1, 9))
+@pytest.mark.parametrize("convention", [SYM, SURF])
+@pytest.mark.parametrize("v_delayed", [False, True])
+def test_table_derivation_equals_the_oracle(stages, convention, v_delayed):
+    enc = encoder_spec_for(stages, convention)
+    table = correction_table(enc, DecoderSpec(enc.bins_per_group + 1 if v_delayed else 0, convention))
+    maps = oracle_slot_maps(table)
+    assert table.slot_maps.tobytes() == maps.tobytes()
+    assert table.slot_correction.tolist() == oracle_slot_correction(maps).tolist()
+    assert (table.slot_correction >= 0).sum() == 4 * (enc.bins_per_group - 1)

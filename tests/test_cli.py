@@ -124,6 +124,16 @@ def test_scaling_rejects_a_depth_outside_1_to_6(max_stages, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["sweep", "--seed", "-1"], ["scaling", "--seed", "-3"],
+                                  ["scaling", "--seed", "-1"]])
+def test_negative_seed_exits_2_naming_the_flag_and_writing_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sweep", "qkd"])
 def test_excessive_depth_exits_2_writing_nothing(command, tmp_path, capsys):
     out = tmp_path / "never.csv"

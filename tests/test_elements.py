@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import bs_matrix
 from timebinsim.circuits import apply
-from timebinsim.elements import BsConvention, ConventionError, Element, bs_matrix
+from timebinsim.elements import BsConvention, ConventionError, Element
 from timebinsim.state import PhotonState, QubitSpec, new_state, random_state
 
 S2 = 1.0 / math.sqrt(2.0)

@@ -240,3 +240,40 @@ def test_a_batch_that_is_not_sample_noise_stops_the_run(monkeypatch):
         qkd._channel_coefficients(HAAR, seeds)
     with pytest.raises(RuntimeError, match="differs from sample_noise"):
         qkd.simulate_bb84(qkd.Bb84Config(pulses=100, ensemble=HAAR, seed=2))
+
+
+# -- the seeded generators of the sweep ----------------------------------------
+
+SEEDING_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64]
+SEEDING_INDICES = [0, 1, 2**32 - 1, 2**32]
+
+
+def test_seeded_generators_start_where_default_rng_does():
+    entropies = SEEDING_SEEDS + [(s, i) for s in SEEDING_SEEDS for i in SEEDING_INDICES]
+    # one to four 32-bit words take the vectorized hash; five, as in (2**64, 2**32), fall back
+    assert {len(noise._entropy_words(e)) for e in entropies} == {1, 2, 3, 4, 5}
+    gen = np.random.default_rng(0)
+    for entropy, rng in zip(entropies, noise._seeded_generators(gen, entropies), strict=True):
+        reference = np.random.default_rng(entropy)
+        assert rng.bit_generator.state == reference.bit_generator.state, entropy
+        assert rng.normal(size=4).tobytes() == reference.normal(size=4).tobytes(), entropy
+
+
+@pytest.mark.parametrize("entropy", [-1, (3, -1), (-2**64, 0)])
+def test_seeded_generators_reject_a_negative_seed(entropy):
+    with pytest.raises(ValueError, match="non-negative"):
+        list(noise._seeded_generators(np.random.default_rng(0), [5, entropy]))
+
+
+def test_importing_the_package_does_not_import_numpy_random():
+    # numpy.random costs 15-20 ms of import, about a fifth of a short run's set-up
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(noise.__file__).resolve().parents[1])
+    code = "import sys, timebinsim; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

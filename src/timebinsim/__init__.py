@@ -13,11 +13,8 @@ from .state import (
     PhotonState,
     Polarization,
     QubitSpec,
-    fidelity_with_qubit,
     new_state,
-    qubit_amplitudes,
     random_qubit,
-    superpose,
 )
 from .elements import BsConvention, ConventionError, Element
 from .noise import (

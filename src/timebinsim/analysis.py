@@ -36,9 +36,7 @@ from .circuits import (
 )
 from .noise import (NoiseEnsemble, NoiseParams, _apply_collective_noise, _draw_noise,
                     _seeded_generators, sample_noise)
-from .state import PhotonState, Polarization, QubitSpec, new_state, random_qubit
-
-H = Polarization.H
+from .state import H, PhotonState, QubitSpec, new_state, random_qubit
 
 
 class BranchId(Enum):
@@ -256,19 +254,6 @@ class BranchReport:
                 {"tick": b.tick, "probability": b.probability} for b in self.discarded
             ],
         }
-
-    def to_csv_rows(self) -> list[str]:
-        """Rows "branch,port,tick,correction,probability,fidelity"."""
-        rows = [
-            f"{self.branch.name},{b.port},{b.tick},{b.correction.value},"
-            f"{b.probability:.17g},{b.fidelity:.17g}"
-            for b in self.accepted
-        ]
-        rows += [
-            f"{self.branch.name},{b.port},{b.tick},discard,{b.probability:.17g},"
-            for b in self.discarded
-        ]
-        return rows
 
 
 def analyze(state: PhotonState, table: CorrectionTable, qubit: QubitSpec) -> list[BranchReport]:

@@ -84,12 +84,18 @@ def _phase_class_deviation(actual: PhotonState, expected: PhotonState, spec: Enc
 
 
 def cmd_golden(args) -> int:
+    _check_seed(args.seed)
     convention = BsConvention(args.convention)
     spec = EncoderSpec(stages=1, convention=convention)
     rng = np.random.default_rng(args.seed)
     qubit = random_qubit(rng)
-    tolerance = 1e-12
     failures = []
+
+    def report(check: str, dev: float):
+        passed = dev < 1e-12  # a NaN deviation fails too
+        print(f"check {check}: max amplitude deviation {dev:.3e} [{'pass' if passed else 'FAIL'}]")
+        if not passed:
+            failures.append(check)
 
     # check 1: the encoder splits the qubit into the expected 8-mode train
     try:
@@ -103,13 +109,8 @@ def cmd_golden(args) -> int:
     except (CircuitError, CircuitTextError) as err:
         print(f"check encode: error: {err}")
         failures.append("encode")
-        sent = None
-        dev = float("inf")
-    if sent is not None:
-        status = "pass" if dev < tolerance else "FAIL"
-        print(f"check encode: max amplitude deviation {dev:.3e} [{status}]")
-        if dev >= tolerance:
-            failures.append("encode")
+    else:
+        report("encode", dev)
 
     # check 2: collective noise produces the four-branch structure with
     # coefficients d1/2, g1/2, -i*d2/2, -i*g2/2 on the reference train
@@ -127,10 +128,7 @@ def cmd_golden(args) -> int:
             amps[(CHANNEL, "H", t + ref_spec.dT)] = -1j * coeff * params.d2 / 2
             amps[(CHANNEL, "V", t + ref_spec.dT)] = -1j * coeff * params.g2 / 2
         dev2 = max(dev2, noisy.max_deviation(PhotonState(amps)))
-    status = "pass" if dev2 < tolerance else "FAIL"
-    print(f"check noise-branches: max amplitude deviation {dev2:.3e} [{status}]")
-    if dev2 >= tolerance:
-        failures.append("noise-branches")
+    report("noise-branches", dev2)
 
     # check 3: the recombiner maps the H-group train to the two-arm state
     # that meets the final polarizing merge
@@ -143,11 +141,7 @@ def cmd_golden(args) -> int:
         coeff = (qubit.alpha if t % 2 == 0 else qubit.beta) / 2.0
         amps[("sp", "V", t)] = coeff
         amps[("lp", "H", t + 1)] = coeff
-    dev3 = arms.max_deviation(PhotonState(amps))
-    status = "pass" if dev3 < tolerance else "FAIL"
-    print(f"check recombine: max amplitude deviation {dev3:.3e} [{status}]")
-    if dev3 >= tolerance:
-        failures.append("recombine")
+    report("recombine", arms.max_deviation(PhotonState(amps)))
 
     if failures:
         print("failed checks: " + ", ".join(failures))

@@ -27,10 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .noise import NoiseParams
-from .state import Polarization
-
-H = Polarization.H
-V = Polarization.V
+from .state import H, V
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

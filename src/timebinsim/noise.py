@@ -21,10 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import PhotonState, Polarization, TOLERANCE
-
-H = Polarization.H
-V = Polarization.V
+from .state import H, V, PhotonState, TOLERANCE, _unit_vector
 
 
 @dataclass(frozen=True)
@@ -61,10 +58,6 @@ class NoiseParams:
             self.d2.real, self.d2.imag, self.g2.real, self.g2.imag,
         )
 
-    def matrix(self) -> np.ndarray:
-        """Jones map acting on (H, V) column vectors."""
-        return np.array([[self.d1, self.d2], [self.g1, self.g2]])
-
 
 @dataclass(frozen=True)
 class NoiseEnsemble:
@@ -95,14 +88,6 @@ GENERAL = NoiseEnsemble("general")
 
 def dephasing(phi: float) -> NoiseEnsemble:
     return NoiseEnsemble("dephasing", phi)
-
-
-def _unit_vector(rng) -> tuple[complex, complex]:
-    raw = rng.normal(size=4)
-    a = complex(raw[0], raw[1])
-    b = complex(raw[2], raw[3])
-    n = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
-    return a / n, b / n
 
 
 def _haar_u2(rng) -> NoiseParams:

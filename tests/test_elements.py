@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import bs_matrix
+from _oracles import bs_matrix, random_state
 from timebinsim.circuits import apply
 from timebinsim.elements import BsConvention, ConventionError, Element
-from timebinsim.state import PhotonState, QubitSpec, new_state, random_state
+from timebinsim.state import PhotonState, QubitSpec, new_state
 
 S2 = 1.0 / math.sqrt(2.0)
 SYM = BsConvention.SYMMETRIC

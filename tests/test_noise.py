@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import noise_matrix, random_state, restrict
 from timebinsim import noise, qkd
 from timebinsim.noise import (
     GENERAL,
@@ -15,7 +16,7 @@ from timebinsim.noise import (
     sample_coefficients,
     sample_noise,
 )
-from timebinsim.state import PhotonState, random_qubit, random_state
+from timebinsim.state import PhotonState, random_qubit
 from timebinsim.circuits import apply
 from timebinsim.elements import Element
 
@@ -42,7 +43,7 @@ def test_dephasing_pi_sample():
 
 def test_haar_sample_is_unitary():
     p = sample_noise(HAAR, 7)
-    u = p.matrix()
+    u = noise_matrix(p)
     assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
     assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-12
 
@@ -51,6 +52,14 @@ def test_sampling_is_deterministic():
     for ens in (HAAR, GENERAL):
         assert sample_noise(ens, 99) == sample_noise(ens, 99)
         assert sample_noise(ens, 99) != sample_noise(ens, 100)
+
+
+def test_general_draw_and_random_qubit_share_one_unit_vector_draw():
+    # the image of |H> is drawn first, from the same four normals a qubit reads
+    for seed in range(200):
+        q = random_qubit(np.random.default_rng(seed))
+        p = sample_noise(GENERAL, seed)
+        assert np.array([q.alpha, q.beta]).tobytes() == np.array([p.d1, p.g1]).tobytes()
 
 
 def test_params_invariant_enforced():
@@ -157,8 +166,8 @@ def test_noise_commutes_with_restrict():
     rng = np.random.default_rng(5)
     s = random_state(rng, ["chan"], range(0, 8), modes=9)
     p = sample_noise(HAAR, 13)
-    a = apply_collective_noise(s, p, "chan").restrict("chan", (2, 5))
-    b = apply_collective_noise(s.restrict("chan", (2, 5)), p, "chan")
+    a = restrict(apply_collective_noise(s, p, "chan"), "chan", (2, 5))
+    b = apply_collective_noise(restrict(s, "chan", (2, 5)), p, "chan")
     assert a.max_deviation(b) < 1e-15
 
 

@@ -10,13 +10,15 @@ interior bins make up (N-1)/N of each group's weight, independent of the
 channel parameters.
 
 Corrections are never transcribed from a table: they are derived once per
-(encoder, decoder) pair by sending the two basis states through the full
-chain and solving for the Pauli that undoes each bin.
+(encoder, decoder) pair from the encoded basis states and the decoder's
+impulse response to each polarization, which fix each bin's 2x2 map, by
+solving for the Pauli that undoes each bin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from typing import NamedTuple
 
@@ -36,7 +38,7 @@ from .circuits import (
 )
 from .noise import (NoiseEnsemble, NoiseParams, _apply_collective_noise, _draw_noise,
                     _seeded_generators, sample_noise)
-from .state import H, PhotonState, QubitSpec, new_state, random_qubit
+from .state import H, V, PhotonState, QubitSpec, new_state, random_qubit
 
 
 class BranchId(Enum):
@@ -87,6 +89,16 @@ _PAULI_MATRICES = np.array([
     [[0, -1j], [1j, 0]],
 ], dtype=complex)
 
+#: Per Pauli of ``_CORRECTIONS``, three sums of a map's entries (m00, m01, m10, m11) that
+#: vanish when the map is proportional to it: I and Z vanish off the diagonal, X and Y on
+#: it, and the other pair is equal (I, X) or opposite (Z, Y).
+_PAULI_TESTS = np.array([
+    [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, -1]],
+    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, -1, 0]],
+    [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]],
+    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0]],
+], dtype=complex).reshape(-1, 4).T
+
 
 class CorrectionDerivationError(RuntimeError):
     """No single Pauli undoes some interior bin: a convention bug."""
@@ -96,17 +108,13 @@ class CorrectionDerivationError(RuntimeError):
 class CorrectionTable:
     """The link: its circuits, its detection windows and each slot's map and Pauli.
 
-    Bins are counted from each group's arrival. The table also carries
-    the decoded basis states.
+    Bins are counted from each group's arrival.
     """
 
     encoder: EncoderSpec
     decoder: DecoderSpec
     encoder_circuit: Circuit
     decoder_circuit: Circuit
-    #: Decoded (H input, V input) under the identity channel, then under
-    #: the bit flip: each accepted bin lit with a unit branch coefficient.
-    basis_outputs: tuple[tuple[PhotonState, PhotonState], ...]
     #: (port, absolute tick) -> (BranchId, bin) over the four group
     #: windows, branch by branch in ``BRANCHES`` order, bins ascending.
     windows: dict
@@ -119,6 +127,30 @@ class CorrectionTable:
     #: Read-only, per window slot: the index into ``_CORRECTIONS`` of the
     #: Pauli that restores the qubit, or -1 for a discarded slot.
     slot_correction: np.ndarray = field(compare=False)
+
+    @cached_property
+    def basis_outputs(self) -> tuple[tuple[PhotonState, PhotonState], ...]:
+        """Decoded (H input, V input) under the identity channel, then under the bit flip,
+        read off the slot maps: each lit window slot, in ``windows`` order."""
+        keys = list(self.windows)
+        branches = self.slot_branch.tolist()
+        cols = self.slot_maps.transpose(2, 0, 1).tolist()  # [H input, V input] -> slot -> [H, V]
+        outputs = []
+        for params in (NoiseParams.identity(), NoiseParams.bit_flip()):
+            lit = [c != 0 for c in params.coefficients()]
+            slots = [(keys[s], s) for s, branch in enumerate(branches) if lit[branch]]
+            pair = []
+            for col in cols:
+                amps = {}
+                for (port, tick), s in slots:
+                    a_h, a_v = col[s]
+                    if a_h:
+                        amps[(port, H, tick)] = a_h
+                    if a_v:
+                        amps[(port, V, tick)] = a_v
+                pair.append(PhotonState._from_clean(amps))
+            outputs.append(tuple(pair))
+        return tuple(outputs)
 
     def transmit(self, qubit: QubitSpec, params: NoiseParams) -> PhotonState:
         """Encode ``qubit``, corrupt the fiber collectively with ``params``, decode."""
@@ -143,49 +175,53 @@ def _slots(state: PhotonState, keep) -> dict:
 
 def _find_paulis(maps: np.ndarray) -> np.ndarray:
     """Per 2x2 map m, the index in ``_CORRECTIONS`` of the first Pauli P with P @ m
-    proportional to the identity, else -1: as P @ P = 1, m proportional to P. I and Z
-    vanish off the diagonal, X and Y on it, and the other pair is equal (I, X) or opposite."""
+    proportional to the identity, else -1: as P @ P = 1, m proportional to P."""
     entries = maps.reshape(-1, 4)
     scale = 1e-9 * np.abs(entries).max(axis=1, keepdims=True)
-    small = np.abs(entries) <= scale
-    other = entries[:, [3, 2]]
-    pair = np.abs(np.hstack((entries[:, :2] - other, entries[:, :2] + other))) <= scale
-    match = pair & small[:, [1, 0, 1, 0]] & small[:, [2, 3, 2, 3]]
+    # einsum, not a BLAS matmul: the tests are sums of entries, and BLAS would add its buffers
+    sums = np.einsum("sk,kt->st", entries, _PAULI_TESTS)
+    match = (np.abs(sums) <= scale).reshape(-1, len(_CORRECTIONS), 3).all(axis=2)
     return np.where(match.any(axis=1), match.argmax(axis=1), -1)
 
 
 def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTable:
     """Derive the Pauli that restores the qubit at every accepted bin.
 
-    The two polarization basis states are propagated through the chain
-    under two channel settings (the identity, and the polarization swap),
-    which together light up all four groups. A bin is accepted when the
-    resulting 2x2 bin map is proportional to a Pauli; the rank-deficient
-    first and last bins of each group are the discards.
+    The decoder is linear and time-invariant (every element acts slot by slot,
+    every delay is whole ticks), so a slot at tick t holds r times the sent
+    train at t - d for each tap (port, polarization, delay d, amplitude r) of
+    its response to a unit amplitude at tick 0. A bin is accepted when its 2x2
+    map is proportional to a Pauli; the rank-deficient first and last bins of
+    each group are the discards.
     """
     check_compatible(encoder, decoder)
     enc_c = build_encoder(encoder)
     dec_c = build_decoder(decoder)
     n = encoder.bins_per_group
-    windows = {}
-    for branch in BRANCHES:
-        port, offset = branch.port, branch.offset(encoder, decoder)
-        windows.update({(port, offset + t): (branch, t) for t in range(n + 1)})
+    ports = [branch.port for branch in BRANCHES]
+    offsets = [branch.offset(encoder, decoder) for branch in BRANCHES]
+    windows = {(port, offset + t): (branch, t)
+               for branch, port, offset in zip(BRANCHES, ports, offsets) for t in range(n + 1)}
 
-    # the sent train does not depend on the channel: encode each basis state once
-    sent = [run(enc_c, new_state(q)) for q in (QubitSpec.horizontal(), QubitSpec.vertical())]
-    outputs = tuple(tuple(_decode(dec_c, train, params) for train in sent)
-                    for params in (NoiseParams.identity(), NoiseParams.bit_flip()))
-    # per window slot, the 2x2 map from the sent (H, V) amplitudes, row-major
-    first = dict(zip(windows, range(0, 4 * len(windows), 4)))
-    entries = [0j] * (4 * len(windows))
-    for pair in outputs:
-        for col, out in enumerate(pair):
-            for (port, pol, tick), a in out.amplitudes.items():
-                k = first.get((port, tick))
-                if k is not None:
-                    entries[k + (col if pol is H else 2 + col)] = a
-    maps = np.array(entries, dtype=complex).reshape(-1, 2, 2)
+    taps = [(port, pol, d, r) for unit in (H, V) for (port, pol, d), r in
+            _decode(dec_c, PhotonState._from_clean({(CHANNEL, unit, 0): 1 + 0j}),
+                    NoiseParams.identity()).amplitudes.items()]
+    # the sent (H input, V input) trains by tick, shifted by the longest delay: a read before
+    # tick 0 lands on zeros
+    pad = max(d for _, _, d, _ in taps)
+    train = np.zeros((2, pad + max(offsets) + n + 1), dtype=complex)
+    for col, q in enumerate((QubitSpec.horizontal(), QubitSpec.vertical())):
+        sent = run(enc_c, new_state(q)).amplitudes
+        np.add.at(train[col], [pad + t for _, _, t in sent], list(sent.values()))
+    # the identity channel and the polarization swap carry each sent amplitude once in each
+    # polarization and light each window under one of the two, so a tap reads the train
+    # whichever polarization carries it; gain is the tap's amplitude where it lands
+    slot_tick = (np.array(offsets)[:, None] + np.arange(n + 1)).ravel()
+    reads = train[:, pad + slot_tick - np.array([d for _, _, d, _ in taps])[:, None]]
+    gain = np.array([[[r if port == p and pol is q else 0j for q in (H, V)] for p in ports]
+                     for port, pol, _, r in taps])
+    maps = np.einsum("ckbt,kbp->btpc", reads.reshape(2, len(taps), len(ports), n + 1), gain)
+    maps = maps.reshape(-1, 2, 2)
 
     # rank-deficient edge bins have lost information and are discarded, as are the slots
     # no basis run reached; |det m| = s1 s2 and ||m||_F^2 = s1^2 + s2^2 (singular values)
@@ -203,8 +239,7 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
     slot_branch = np.repeat(np.arange(len(BRANCHES)), n + 1)
     for array in (maps, slot_branch, slot_correction):
         array.flags.writeable = False
-    return CorrectionTable(encoder, decoder, enc_c, dec_c, outputs, windows,
-                           maps, slot_branch, slot_correction)
+    return CorrectionTable(encoder, decoder, enc_c, dec_c, windows, maps, slot_branch, slot_correction)
 
 
 class AcceptedBin(NamedTuple):
@@ -388,9 +423,13 @@ def _check_sample_zero(table, ensemble, seed: int, params, qubit, row: SweepSamp
         raise RuntimeError(f"batched draw {draws[0].tolist()} of sweep sample 0 differs from "
                            f"the unbatched {draws[1].tolist()} for seed {seed}")
     reports = analyze(table.transmit(qubit, params), table, qubit)
-    success, worst = total_success(reports), min_fidelity(reports)
-    if not (abs(row.success - success) <= 1e-12 and abs(row.min_fidelity - worst) <= 1e-12):
-        raise RuntimeError(
-            f"sweep sample 0 (seed {seed}) from the slot maps gives success {row.success!r} and "
-            f"min fidelity {row.min_fidelity!r}; the interpreter gives {success!r} and {worst!r}"
-        )
+    _check_with_interpreter(row.success, row.min_fidelity, reports, f"sweep sample 0 (seed {seed})")
+
+
+def _check_with_interpreter(success: float, worst: float, reports: list[BranchReport], row: str):
+    """Raise RuntimeError naming ``row`` unless the slot maps' ``success`` and ``worst``
+    fidelity are within 1e-12 of those of an interpreted state's ``reports``."""
+    interpreted = total_success(reports), min_fidelity(reports)
+    if not (abs(success - interpreted[0]) <= 1e-12 and abs(worst - interpreted[1]) <= 1e-12):
+        raise RuntimeError(f"{row} from the slot maps gives success {success!r} and min fidelity "
+                           f"{worst!r}; the interpreter gives {interpreted[0]!r} and {interpreted[1]!r}")

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .analysis import analyze, correction_table, total_success, success_probability_sweep
+from .analysis import _check_with_interpreter, _evaluate, analyze, correction_table, success_probability_sweep
 from .circfile import CircuitTextError, load_circuit, print_circuit
 from .circuits import (
     CHANNEL,
@@ -33,7 +33,7 @@ from .circuits import (
 from .elements import BsConvention
 from .noise import HAAR, NoiseEnsemble, apply_collective_noise, sample_noise
 from .qkd import Bb84Config, simulate_bb84
-from .state import PhotonState, QubitSpec, random_qubit, new_state
+from .state import PhotonState, QubitSpec, _max_or_nan, random_qubit, new_state
 
 
 def _write(out_path: str | None, text: str):
@@ -65,7 +65,7 @@ def _phase_class_deviation(actual: PhotonState, expected: PhotonState, spec: Enc
     train up to a constant phase on each parity class of each group, so
     the comparison quotients those four phases out.
     """
-    worst = 0.0
+    devs = []
     for pol, offset in (("H", 0), ("V", spec.dT)):
         for parity in (0, 1):
             ratio = None
@@ -73,14 +73,14 @@ def _phase_class_deviation(actual: PhotonState, expected: PhotonState, spec: Enc
                 a = actual.amplitude(CHANNEL, pol, t + offset)
                 e = expected.amplitude(CHANNEL, pol, t + offset)
                 if abs(e) < 1e-12:
-                    worst = max(worst, abs(a))
+                    devs.append(abs(a))
                     continue
                 if ratio is None:
                     ratio = a / e
                     if abs(abs(ratio) - 1.0) > 1e-9:
                         return float("inf")
-                worst = max(worst, abs(a - ratio * e))
-    return worst
+                devs.append(abs(a - ratio * e))
+    return _max_or_nan(devs)
 
 
 def cmd_golden(args) -> int:
@@ -116,7 +116,7 @@ def cmd_golden(args) -> int:
     # coefficients d1/2, g1/2, -i*d2/2, -i*g2/2 on the reference train
     ref_spec = EncoderSpec(stages=1, convention=BsConvention.SURFACE_PHASES)
     ref_sent = run(build_encoder(ref_spec), new_state(qubit))
-    dev2 = 0.0
+    devs = []
     for k in range(10):
         params = sample_noise(HAAR, args.seed + k)
         noisy = apply_collective_noise(ref_sent, params, CHANNEL)
@@ -127,8 +127,8 @@ def cmd_golden(args) -> int:
             amps[(CHANNEL, "V", t)] = coeff * params.g1 / 2
             amps[(CHANNEL, "H", t + ref_spec.dT)] = -1j * coeff * params.d2 / 2
             amps[(CHANNEL, "V", t + ref_spec.dT)] = -1j * coeff * params.g2 / 2
-        dev2 = max(dev2, noisy.max_deviation(PhotonState(amps)))
-    report("noise-branches", dev2)
+        devs.append(noisy.max_deviation(PhotonState(amps)))
+    report("noise-branches", _max_or_nan(devs))
 
     # check 3: the recombiner maps the H-group train to the two-arm state
     # that meets the final polarizing merge
@@ -200,7 +200,11 @@ def cmd_scaling(args) -> int:
         table = correction_table(encoder, DecoderSpec(0, convention))
         qubit = random_qubit(np.random.default_rng(args.seed + stages))
         params = sample_noise(HAAR, args.seed + stages)
-        success = total_success(analyze(table.transmit(qubit, params), table, qubit))
+        success, worst = (x.item() for x in _evaluate(
+            table, np.array([params.coefficients()]), np.array([[qubit.alpha, qubit.beta]])))
+        if stages == 1:
+            _check_with_interpreter(success, worst, analyze(table.transmit(qubit, params), table, qubit),
+                                    f"scaling row 1 (stage {stages}, seed {args.seed})")
         rows.append((stages, encoder.bins_per_group, encoder.wavepackets, success))
 
     if args.format == "json":

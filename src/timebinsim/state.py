@@ -106,7 +106,7 @@ class PhotonState:
             for mode, a in amplitudes.items():
                 if type(a) is not complex:
                     a = complex(a)
-                if abs(a) >= PRUNE_THRESHOLD:
+                if not abs(a) < PRUNE_THRESHOLD:  # a NaN is kept
                     channel, pol, tick = mode
                     if type(pol) is not Polarization:
                         mode = (channel, Polarization(pol), int(tick))
@@ -118,7 +118,7 @@ class PhotonState:
         # Internal fast path: keys are known-good (str, Polarization, int)
         # tuples, values complex; only pruning is applied.
         state = cls.__new__(cls)
-        state.amplitudes = {m: a for m, a in amplitudes.items() if abs(a) >= PRUNE_THRESHOLD}
+        state.amplitudes = {m: a for m, a in amplitudes.items() if not abs(a) < PRUNE_THRESHOLD}
         return state
 
     def __repr__(self):
@@ -135,12 +135,9 @@ class PhotonState:
         return sum(a.real * a.real + a.imag * a.imag for a in self.amplitudes.values())
 
     def max_deviation(self, other: "PhotonState") -> float:
-        """Largest amplitude difference between two states, over all modes."""
+        """Largest amplitude difference between two states, over all modes; NaN if any is."""
         keys = set(self.amplitudes) | set(other.amplitudes)
-        return max(
-            (abs(self.amplitudes.get(k, 0j) - other.amplitudes.get(k, 0j)) for k in keys),
-            default=0.0,
-        )
+        return _max_or_nan(abs(self.amplitudes.get(k, 0j) - other.amplitudes.get(k, 0j)) for k in keys)
 
     def dump(self) -> str:
         """Deterministic text dump, one mode per line: channel,pol,tick,re,im."""
@@ -150,6 +147,12 @@ class PhotonState:
             a = self.amplitudes[mode]
             lines.append(f"{channel},{pol.value},{tick},{a.real:.17g},{a.imag:.17g}")
         return "\n".join(lines)
+
+
+def _max_or_nan(values) -> float:
+    """The largest of some non-negative numbers, 0.0 for none; NaN if any is, which ``max`` can drop."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else max(values, default=0.0)
 
 
 def new_state(qubit: QubitSpec, channel: str = "in") -> PhotonState:

@@ -194,6 +194,26 @@ def test_identity_pipeline_interior_bin_reconstructs_qubit():
     assert a_h / q.alpha == pytest.approx(a_v / q.beta, abs=1e-12)
 
 
+def _exact(state: PhotonState) -> list:
+    """Modes in order with the bits of each amplitude."""
+    return [(mode, a.real.hex(), a.imag.hex()) for mode, a in state.amplitudes.items()]
+
+
+@pytest.mark.parametrize("stages", [1, 3])
+@pytest.mark.parametrize("convention", [SYM, SURF])
+@pytest.mark.parametrize("v_delayed", [False, True])
+def test_the_decoder_is_time_invariant(stages, convention, v_delayed):
+    # correction_table reads every slot off the decoder's response at tick 0
+    enc = encoder_spec_for(stages, convention)
+    decoder = build_decoder(DecoderSpec(enc.bins_per_group + 1 if v_delayed else 0, convention))
+    for pol in ("H", "V"):
+        response = run(decoder, PhotonState({(CHANNEL, pol, 0): 1.0}))
+        assert len(response) == 2
+        for tick in (1, 37, enc.dT):
+            shifted = PhotonState({(port, p, t + tick): a for (port, p, t), a in response.amplitudes.items()})
+            assert _exact(run(decoder, PhotonState({(CHANNEL, pol, tick): 1.0}))) == _exact(shifted)
+
+
 def test_physical_splitter_leaks_half():
     els = physical_splitter_elements("c", 4, SYM)
     circ = Circuit("c", els, ("c", "leak"))

@@ -1,14 +1,19 @@
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import timebinsim
 from timebinsim import cli
+from timebinsim.analysis import analyze, correction_table, total_success
 from timebinsim.cli import main
 from timebinsim.circfile import print_circuit
-from timebinsim.circuits import EncoderSpec, build_encoder
+from timebinsim.circuits import DecoderSpec, EncoderSpec, build_encoder, encoder_spec_for
 from timebinsim.elements import BsConvention
+from timebinsim.noise import HAAR, sample_noise
+from timebinsim.state import PhotonState, random_qubit
 
 
 def test_golden_default_passes(capsys):
@@ -45,6 +50,22 @@ def test_golden_counts_a_nan_deviation_as_a_failed_check(monkeypatch, capsys):
     assert main(["golden", "--convention", "symmetric"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out and out.splitlines()[-1] == "failed checks: encode"
+
+
+def test_golden_fails_noise_branches_on_a_nan_after_the_first_draw(monkeypatch, capsys):
+    # call 1 is the encode check, calls 2-11 the ten noise-branch draws
+    calls = []
+    original = PhotonState.max_deviation
+
+    def nan_on_third_call(self, other):
+        calls.append(1)
+        return float("nan") if len(calls) == 3 else original(self, other)
+
+    monkeypatch.setattr(PhotonState, "max_deviation", nan_on_third_call)
+    assert main(["golden"]) == 1
+    out = capsys.readouterr().out
+    assert "noise-branches: max amplitude deviation nan [FAIL]" in out
+    assert out.splitlines()[-1] == "failed checks: noise-branches"
 
 
 def test_golden_missing_circuit_is_usage_error(capsys):
@@ -122,6 +143,34 @@ def test_scaling_json_same_numbers(tmp_path):
     for row, entry in zip(rows, payload):
         assert int(row[0]) == entry["stages"]
         assert float(row[3]) == entry["success"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+@pytest.mark.parametrize("convention", list(BsConvention))
+def test_scaling_rows_equal_the_interpreter(convention, seed, tmp_path):
+    out = tmp_path / "s.json"
+    assert main(["scaling", "--max-stages", "6", "--convention", convention.value, "--seed", str(seed),
+                 "--format", "json", "--out", str(out)]) == 0
+    for row in json.loads(out.read_text()):
+        stages = row["stages"]
+        table = correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))
+        q = random_qubit(np.random.default_rng(seed + stages))
+        params = sample_noise(HAAR, seed + stages)
+        assert abs(row["success"] - total_success(analyze(table.transmit(q, params), table, q))) <= 1e-12
+
+
+def test_a_wrong_stage_1_slot_map_stops_scaling(monkeypatch, tmp_path):
+    def scale_stage_1(encoder, decoder):
+        table = correction_table(encoder, decoder)
+        if encoder.stages != 1:
+            return table
+        maps = table.slot_maps.copy()
+        maps[table.slot_correction >= 0] *= 1.01
+        return dataclasses.replace(table, slot_maps=maps)
+
+    monkeypatch.setattr(cli, "correction_table", scale_stage_1)
+    with pytest.raises(RuntimeError, match=r"scaling row 1 \(stage 1, seed 3\)"):
+        main(["scaling", "--max-stages", "2", "--seed", "3", "--out", str(tmp_path / "s.csv")])
 
 
 @pytest.mark.parametrize("max_stages", ["9", "0", "-1"])

@@ -39,6 +39,7 @@ CASES = {
                                      "--ensemble", "general", "--convention", "surface",
                                      "--seed", "2"],
     "scaling_json_s6": ["scaling", "--max-stages", "6", "--format", "json", "--seed", "4"],
+    "scaling_surface_s6": ["scaling", "--convention", "surface", "--max-stages", "6", "--seed", "2"],
     "sweep_general_surface_s3": ["sweep", "--stages", "3", "--ensemble", "general",
                                  "--convention", "surface", "--samples", "5", "--seed", "8"],
 }
@@ -84,7 +85,7 @@ def record(names: list[str]) -> None:
         if code != 0:
             raise SystemExit(f"{name}: exit code {code}, nothing recorded")
         path = EXPECTED / f"{name}.out"
-        old_lines = path.read_text(encoding="utf-8").splitlines()
+        old_lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
         new_lines = buffer.getvalue().splitlines()
         path.write_bytes(buffer.getvalue().encode("utf-8"))
         if len(old_lines) != len(new_lines):

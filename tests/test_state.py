@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from _oracles import fidelity_with_qubit, qubit_amplitudes, random_state, restrict, superpose
-from timebinsim.state import Mode, PhotonState, Polarization, QubitSpec, new_state, random_qubit
+from timebinsim.circuits import Circuit, run
+from timebinsim.elements import Element
+from timebinsim.state import (Mode, PhotonState, Polarization, QubitSpec, _max_or_nan, new_state,
+                              random_qubit)
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -142,6 +145,26 @@ def test_qubit_amplitudes_rejects_multiple_slots():
 def test_prune_threshold():
     s = PhotonState({("x", "H", 0): 1e-16, ("x", "V", 0): 1.0})
     assert len(s) == 1
+
+
+def test_a_nan_amplitude_is_kept_through_construction_and_a_run():
+    nan = float("nan")
+    s = PhotonState({("c", "H", 0): nan, ("c", "V", 0): 1.0})
+    assert len(s) == 2 and math.isnan(s.norm_sq())
+    out = run(Circuit("c", (Element("delay", ("c",), ("d",), ticks=3),), ("d",)), s)
+    assert len(out) == 2 and math.isnan(out.amplitude("d", "H", 3).real)
+    assert math.isnan(out.norm_sq())
+
+
+def test_max_deviation_is_nan_when_any_mode_is():
+    # whichever mode a set visits first, the NaN is not dropped
+    good = {("c", "V", t): 1.0 for t in range(8)}
+    for t in range(8):
+        bad = PhotonState({**good, ("c", "V", t): float("nan")})
+        assert math.isnan(bad.max_deviation(PhotonState(good)))
+        assert math.isnan(PhotonState(good).max_deviation(bad))
+    assert math.isnan(_max_or_nan([0.5, float("nan"), 2.0]))
+    assert _max_or_nan([0.5, 2.0, 1.0]) == 2.0 and _max_or_nan([]) == 0.0
 
 
 def test_superpose_cancellation_prunes():

@@ -18,7 +18,6 @@ solving for the Pauli that undoes each bin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from enum import Enum
 from typing import NamedTuple
 
@@ -38,7 +37,7 @@ from .circuits import (
 )
 from .noise import (NoiseEnsemble, NoiseParams, _apply_collective_noise, _draw_noise,
                     _seeded_generators, sample_noise)
-from .state import H, V, PhotonState, QubitSpec, new_state, random_qubit
+from .state import H, V, PhotonState, QubitSpec, _max_or_nan, new_state, random_qubit
 
 
 class BranchId(Enum):
@@ -127,30 +126,6 @@ class CorrectionTable:
     #: Read-only, per window slot: the index into ``_CORRECTIONS`` of the
     #: Pauli that restores the qubit, or -1 for a discarded slot.
     slot_correction: np.ndarray = field(compare=False)
-
-    @cached_property
-    def basis_outputs(self) -> tuple[tuple[PhotonState, PhotonState], ...]:
-        """Decoded (H input, V input) under the identity channel, then under the bit flip,
-        read off the slot maps: each lit window slot, in ``windows`` order."""
-        keys = list(self.windows)
-        branches = self.slot_branch.tolist()
-        cols = self.slot_maps.transpose(2, 0, 1).tolist()  # [H input, V input] -> slot -> [H, V]
-        outputs = []
-        for params in (NoiseParams.identity(), NoiseParams.bit_flip()):
-            lit = [c != 0 for c in params.coefficients()]
-            slots = [(keys[s], s) for s, branch in enumerate(branches) if lit[branch]]
-            pair = []
-            for col in cols:
-                amps = {}
-                for (port, tick), s in slots:
-                    a_h, a_v = col[s]
-                    if a_h:
-                        amps[(port, H, tick)] = a_h
-                    if a_v:
-                        amps[(port, V, tick)] = a_v
-                pair.append(PhotonState._from_clean(amps))
-            outputs.append(tuple(pair))
-        return tuple(outputs)
 
     def transmit(self, qubit: QubitSpec, params: NoiseParams) -> PhotonState:
         """Encode ``qubit``, corrupt the fiber collectively with ``params``, decode."""
@@ -325,7 +300,9 @@ def total_success(reports: list[BranchReport]) -> float:
 
 
 def min_fidelity(reports: list[BranchReport]) -> float:
-    return min((b.fidelity for r in reports for b in r.accepted), default=1.0)
+    """The worst accepted fidelity, 1.0 for none; NaN if any is, which ``min`` can drop."""
+    fidelities = [b.fidelity for r in reports for b in r.accepted]
+    return np.nan if any(f != f for f in fidelities) else min(fidelities, default=1.0)
 
 
 class SweepSample(NamedTuple):
@@ -410,7 +387,7 @@ def success_probability_sweep(
             _check_sample_zero(table, ensemble, seed, params[0], qubits[0], rows[0])
 
     mean = sum(r.success for r in rows) / samples
-    deviation = max(abs(r.success - target) for r in rows)
+    deviation = _max_or_nan(abs(r.success - target) for r in rows)
     return SweepResult(target=target, samples=tuple(rows), mean_success=mean, max_deviation=deviation)
 
 

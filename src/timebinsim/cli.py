@@ -198,7 +198,7 @@ def cmd_scaling(args) -> int:
     for stages in range(1, args.max_stages + 1):
         encoder = encoder_spec_for(stages, convention)
         table = correction_table(encoder, DecoderSpec(0, convention))
-        qubit = random_qubit(np.random.default_rng(args.seed + stages))
+        qubit = random_qubit(np.random.default_rng((args.seed, stages)))
         params = sample_noise(HAAR, args.seed + stages)
         success, worst = (x.item() for x in _evaluate(
             table, np.array([params.coefficients()]), np.array([[qubit.alpha, qubit.beta]])))

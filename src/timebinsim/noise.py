@@ -43,10 +43,6 @@ class NoiseParams:
     def identity() -> "NoiseParams":
         return NoiseParams(1.0, 0.0, 0.0, 1.0)
 
-    @staticmethod
-    def bit_flip() -> "NoiseParams":
-        return NoiseParams(0.0, 1.0, 1.0, 0.0)
-
     def coefficients(self) -> tuple[complex, ...]:
         """(d1, g1, d2, g2), the order of ``analysis.BRANCHES``."""
         return (self.d1, self.g1, self.d2, self.g2)

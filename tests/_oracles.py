@@ -8,7 +8,8 @@ Each one checks package code from outside it:
 - ``superpose``: linear combinations of states, for the linearity of ``circuits.run``;
 - ``random_state``: random sparse states, for property tests of ``elements``, ``circuits``, ``noise``;
 - ``noise_matrix``: the Jones matrix, for the unitarity of ``noise.sample_noise``'s Haar draws;
-- ``csv_rows``: one row per bin, for the bins that ``analysis.analyze`` files under a branch.
+- ``csv_rows``: one row per bin, for the bins that ``analysis.analyze`` files under a branch;
+- ``detection_events``: the corrected accepted bins of an interpreted state, for ``qkd``'s compiled link.
 """
 
 import math
@@ -16,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from timebinsim.analysis import BranchReport
+from timebinsim.analysis import BranchReport, _slots
 from timebinsim.elements import _INV_SQRT2, BsConvention
 from timebinsim.noise import NoiseParams
 from timebinsim.state import H, V, PhotonState, QubitSpec
@@ -109,3 +110,15 @@ def csv_rows(report: BranchReport) -> list[str]:
         for b in report.discarded
     ]
     return rows
+
+
+def detection_events(out: PhotonState, gates: dict) -> list:
+    """((port, tick), probability, corrected H, corrected V) per bin of ``out`` in ``gates``,
+    in ``gates`` order, each corrected by its ``gates`` entry."""
+    slots = _slots(out, gates)
+    events = []
+    for key, correction in gates.items():
+        if key in slots:
+            c_h, c_v = correction.apply(*slots[key])
+            events.append((key, abs(c_h) ** 2 + abs(c_v) ** 2, c_h, c_v))
+    return events

@@ -7,7 +7,9 @@ from _oracles import csv_rows
 from timebinsim import analysis, circuits, noise
 from timebinsim.analysis import (
     BRANCHES,
+    AcceptedBin,
     BranchId,
+    BranchReport,
     Correction,
     CorrectionDerivationError,
     _slots,
@@ -368,7 +370,7 @@ def test_a_negative_seed_raises_on_the_batched_path():
 def oracle_slot_maps(table):
     """Each slot's map from four full transmits, one per basis state and channel setting."""
     maps = {key: np.zeros((2, 2), dtype=complex) for key in table.windows}
-    for params in (NoiseParams.identity(), NoiseParams.bit_flip()):
+    for params in (NoiseParams.identity(), NoiseParams(0, 1, 1, 0)):  # identity, bit flip
         for col, qubit in enumerate((QubitSpec.horizontal(), QubitSpec.vertical())):
             for key, (a_h, a_v) in _slots(table.transmit(qubit, params), table.windows).items():
                 maps[key][:, col] = a_h, a_v
@@ -426,3 +428,23 @@ def test_table_derivation_equals_the_oracle(stages, convention, v_delayed):
     assert within_rounding_of_the_oracle(table.slot_maps, maps)
     assert table.slot_correction.tolist() == oracle_slot_correction(maps).tolist()
     assert (table.slot_correction >= 0).sum() == 4 * (enc.bins_per_group - 1)
+
+
+@pytest.mark.parametrize("fidelities", [(0.9, float("nan")), (float("nan"), 0.9)])
+def test_min_fidelity_is_nan_when_any_fidelity_is(fidelities):
+    accepted = tuple(AcceptedBin("main", t, I, 0.25, f) for t, f in enumerate(fidelities, start=1))
+    assert np.isnan(min_fidelity([BranchReport(BranchId.P1H, "main", 0, accepted, ())]))
+
+
+def test_a_nan_success_after_the_first_sample_makes_max_deviation_nan(monkeypatch):
+    evaluate = analysis._evaluate
+
+    def nan_in_row_2(table, coefficients, qubits):
+        success, worst = evaluate(table, coefficients, qubits)
+        success[2] = np.nan
+        return success, worst
+
+    monkeypatch.setattr(analysis, "_evaluate", nan_in_row_2)
+    result = success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), HAAR, 5, 1)
+    assert np.isnan(result.samples[2].success)
+    assert np.isnan(result.max_deviation)

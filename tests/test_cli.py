@@ -154,9 +154,26 @@ def test_scaling_rows_equal_the_interpreter(convention, seed, tmp_path):
     for row in json.loads(out.read_text()):
         stages = row["stages"]
         table = correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))
-        q = random_qubit(np.random.default_rng(seed + stages))
+        q = random_qubit(np.random.default_rng((seed, stages)))
         params = sample_noise(HAAR, seed + stages)
         assert abs(row["success"] - total_success(analyze(table.transmit(q, params), table, q))) <= 1e-12
+
+
+
+def test_scaling_draws_its_qubit_from_another_stream_than_its_channel(monkeypatch, tmp_path):
+    # the channel of row n comes from default_rng(seed + n); the qubit must not read the same words
+    starts = []
+
+    def recording_random_qubit(rng):
+        starts.append(rng.bit_generator.state)
+        return random_qubit(rng)
+
+    monkeypatch.setattr(cli, "random_qubit", recording_random_qubit)
+    assert main(["scaling", "--max-stages", "3", "--seed", "2", "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(starts) == 3
+    for stages, start in enumerate(starts, start=1):
+        assert start == np.random.default_rng((2, stages)).bit_generator.state
+        assert start != np.random.default_rng(2 + stages).bit_generator.state
 
 
 def test_a_wrong_stage_1_slot_map_stops_scaling(monkeypatch, tmp_path):

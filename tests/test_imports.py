@@ -1,0 +1,60 @@
+"""No module of the package imports a name it never uses.
+
+The repository has no linter; this is the one check of pyflakes' F401 it
+needs, written with ``ast``. The re-exports of ``__init__.py`` are the
+package's API, and an import whose line carries ``# noqa: F401`` is kept
+on purpose (``qkd`` binds ``run`` and ``_apply_collective_noise`` for the
+per-pulse oracle and the benchmark's tracer).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import timebinsim
+
+MODULES = sorted(p for p in Path(timebinsim.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by a module-level import of ``source`` that nothing in it reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    bound[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    # a quoted annotation such as -> "PhotonState" reads the names in its text
+    annotations = [ast.parse(text.value, mode="eval") for node in ast.walk(tree)
+                   for annotation in _annotations(node) for text in ast.walk(annotation)
+                   if isinstance(text, ast.Constant) and isinstance(text.value, str)]
+    used = {node.id for root in (tree, *annotations) for node in ast.walk(root) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+def _annotations(node: ast.AST) -> list:
+    """The annotations a function signature or an annotated assignment carries."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        args = node.args
+        every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        return [a.annotation for a in every if a is not None and a.annotation is not None] + \
+            ([node.returns] if node.returns is not None else [])
+    return [node.annotation] if isinstance(node, ast.AnnAssign) else []
+
+
+def test_the_check_finds_an_unused_import():
+    source = ("import os\nimport sys\nfrom math import pi, tau\nfrom json import dumps  # noqa: F401\n"
+              "from re import Match, Pattern\n"
+              "def f(x: 'Match') -> str:\n    return 'Pattern'\n"
+              "sys.exit(pi)\n")
+    assert unused_imports(source) == ["os (line 1)", "tau (line 3)", "Pattern (line 5)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import detection_events
 from timebinsim import qkd
 from timebinsim.analysis import _PAULI_MATRICES, Correction, correction_table
 from timebinsim.circuits import CHANNEL, CircuitError, DecoderSpec, encoder_spec_for
@@ -40,7 +41,7 @@ def reference_bb84(cfg: Bb84Config) -> tuple[int, int, int]:
 
         u = qkd._uniform(cfg.seed, pulse, 2) / cfg.eta
         hit = None
-        for _key, p, c_h, c_v in qkd._detection_events(out, gates):
+        for _key, p, c_h, c_v in detection_events(out, gates):
             if u < p:
                 hit = (c_h, c_v)
                 break
@@ -172,7 +173,7 @@ def test_compiled_bins_match_the_interpreter(convention, stages):
         q = random_qubit(rng)
         coefficients = np.array(params.coefficients())
         compiled = coefficients[branch, None] * (maps @ np.array([q.alpha, q.beta]))
-        events = qkd._detection_events(table.transmit(q, params), gates)
+        events = detection_events(table.transmit(q, params), gates)
         # bins are compared order-free: by their probabilities and their summed amplitudes
         assert len(events) == len(compiled)
         assert sorted((np.abs(compiled) ** 2).sum(axis=1)) == pytest.approx(
@@ -194,6 +195,49 @@ def test_compiled_link_is_the_tables_corrected_slots(convention, stages):
     accepted = table.slot_correction >= 0
     corrected = _PAULI_MATRICES[table.slot_correction[accepted]] @ table.slot_maps[accepted]
     assert _bins(*qkd._compile_link(table)) == _bins(table.slot_branch[accepted], corrected)
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("convention", list(BsConvention))
+def test_compiled_link_reads_the_accepted_slots_in_windows_order(convention, stages):
+    table = correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))
+    accepted = table.slot_correction >= 0
+    branch, maps = qkd._compile_link(table)
+    assert branch.tolist() == table.slot_branch[accepted].tolist()
+    # bit for bit up to the sign of a zero, which a matmul and an einsum may round apart
+    corrected = _PAULI_MATRICES[table.slot_correction[accepted]] @ table.slot_maps[accepted]
+    assert (maps + 0.0).tobytes() == (corrected + 0.0).tobytes()
+
+
+#: Each Pauli and the one the benchmark's wrong-correction test swaps it for.
+_FLIPPED = {Correction.IDENTITY: Correction.BIT_FLIP, Correction.BIT_FLIP: Correction.IDENTITY,
+            Correction.PHASE_FLIP: Correction.BIT_PHASE_FLIP,
+            Correction.BIT_PHASE_FLIP: Correction.PHASE_FLIP}
+
+
+@pytest.mark.parametrize("stages", [1, 3])
+@pytest.mark.parametrize("convention", list(BsConvention))
+def test_one_flipped_gate_changes_exactly_that_bins_compiled_map(convention, stages, monkeypatch):
+    # the benchmark's wrong-correction test flips one _gate_map entry and expects sifted errors
+    table = correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))
+    branch, maps = qkd._compile_link(table)
+    original = qkd._gate_map
+    gates = original(table, table.encoder, table.decoder)
+    keys = list(gates)
+    for key in (min(keys), keys[len(keys) // 2], max(keys)):
+        def one_flipped(table, encoder, decoder):
+            flipped = original(table, encoder, decoder)
+            flipped[key] = _FLIPPED[flipped[key]]
+            return flipped
+
+        monkeypatch.setattr(qkd, "_gate_map", one_flipped)
+        flipped_branch, flipped_maps = qkd._compile_link(table)
+        j = keys.index(key)
+        assert flipped_branch.tolist() == branch.tolist()
+        assert (flipped_maps != maps).any(axis=(1, 2)).tolist() == [i == j for i in range(len(maps))]
+        pauli = _PAULI_MATRICES[list(Correction).index(_FLIPPED[gates[key]])]
+        expected = pauli @ table.slot_maps[list(table.windows).index(key)]
+        assert (flipped_maps[j] + 0.0).tobytes() == (expected + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("stages", [1, 2, 3])

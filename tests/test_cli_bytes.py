@@ -38,6 +38,9 @@ CASES = {
     "qkd_general_surface_refresh7": ["qkd", "--pulses", "10000", "--refresh", "7", "--stages", "2",
                                      "--ensemble", "general", "--convention", "surface",
                                      "--seed", "2"],
+    # 1020 accepted bins: the detection sampler at depth, with draws straddling blocks
+    "qkd_s7_surface": ["qkd", "--stages", "7", "--pulses", "5000", "--refresh", "7", "--eta", "0.6",
+                       "--seed", "11", "--convention", "surface"],
     "scaling_json_s6": ["scaling", "--max-stages", "6", "--format", "json", "--seed", "4"],
     "scaling_surface_s6": ["scaling", "--convention", "surface", "--max-stages", "6", "--seed", "2"],
     "sweep_general_surface_s3": ["sweep", "--stages", "3", "--ensemble", "general",

@@ -221,6 +221,9 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_qkd(args) -> int:
+    _check_seed(args.seed)
+    if args.seed >= 2**64:  # qkd's draws read the seed modulo 2**64
+        raise ValueError(f"--seed must be below 2**64, got {args.seed}")
     cfg = Bb84Config(
         pulses=args.pulses,
         stages=args.stages,

@@ -9,7 +9,8 @@ Each one checks package code from outside it:
 - ``random_state``: random sparse states, for property tests of ``elements``, ``circuits``, ``noise``;
 - ``noise_matrix``: the Jones matrix, for the unitarity of ``noise.sample_noise``'s Haar draws;
 - ``csv_rows``: one row per bin, for the bins that ``analysis.analyze`` files under a branch;
-- ``detection_events``: the corrected accepted bins of an interpreted state, for ``qkd``'s compiled link.
+- ``detection_events``: the corrected accepted bins of an interpreted state, for ``qkd``'s compiled link;
+- ``sequential_bins``: the bin-by-bin walk of detection sampling, for ``qkd``'s two-level sampler.
 """
 
 import math
@@ -122,3 +123,19 @@ def detection_events(out: PhotonState, gates: dict) -> list:
             c_h, c_v = correction.apply(*slots[key])
             events.append((key, abs(c_h) ** 2 + abs(c_v) ** 2, c_h, c_v))
     return events
+
+
+def sequential_bins(branch, weights, branch_weight, state, u):
+    """Each pulse's detected bin, -1 if none, walking the link's bins one at a time.
+
+    The arguments are those of ``qkd._link_keys`` and ``qkd._landing_bins``:
+    bin j of branch ``branch[j]`` holds ``weights[j][state] * branch_weight[k]``
+    of [0, total), and the pulse lands in the bin that holds ``u``.
+    """
+    u = u.copy()
+    hit = np.full(len(u), -1)
+    for j, k in enumerate(branch):
+        p = weights[j][state] * branch_weight[k]
+        hit[(hit < 0) & (u < p)] = j
+        u -= p
+    return hit

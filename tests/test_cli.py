@@ -199,7 +199,8 @@ def test_scaling_rejects_a_depth_outside_1_to_6(max_stages, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--seed", "-1"], ["scaling", "--seed", "-3"],
-                                  ["scaling", "--seed", "-1"]])
+                                  ["scaling", "--seed", "-1"], ["qkd", "--seed", "-1"],
+                                  ["qkd", "--seed", str(2**64)]])
 def test_negative_seed_exits_2_naming_the_flag_and_writing_nothing(argv, tmp_path, capsys):
     out = tmp_path / "never.csv"
     assert main(argv + ["--out", str(out)]) == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import detection_events
+from _oracles import detection_events, sequential_bins
 from timebinsim import qkd
 from timebinsim.analysis import _PAULI_MATRICES, Correction, correction_table
 from timebinsim.circuits import CHANNEL, CircuitError, DecoderSpec, encoder_spec_for
@@ -96,6 +96,11 @@ def test_config_validation():
         Bb84Config(pulses=10, refresh_every=0)
     with pytest.raises(CircuitError, match="exceed"):
         Bb84Config(pulses=10, stages=40)
+    # the draws read the seed modulo 2**64, so a seed outside it would alias another
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            Bb84Config(pulses=10, seed=seed)
+    assert Bb84Config(pulses=10, seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_identity_channel_short_run():
@@ -240,7 +245,7 @@ def test_one_flipped_gate_changes_exactly_that_bins_compiled_map(convention, sta
         assert (flipped_maps[j] + 0.0).tobytes() == (expected + 0.0).tobytes()
 
 
-@pytest.mark.parametrize("stages", [1, 2, 3])
+@pytest.mark.parametrize("stages", [1, 2, 3, 4])
 @pytest.mark.parametrize("convention", list(BsConvention))
 @pytest.mark.parametrize("ensemble", [IDENTITY, HAAR, GENERAL, dephasing(1.0)],
                          ids=lambda e: e.kind)
@@ -252,6 +257,93 @@ def test_batched_counts_equal_the_per_pulse_interpreter(ensemble, convention, st
             cfg = Bb84Config(pulses=80, stages=stages, ensemble=ensemble, refresh_every=refresh,
                              eta=eta, seed=11 * stages + refresh, convention=convention)
             assert counts(simulate_bb84(cfg)) == reference_bb84(cfg), cfg
+
+
+def _link_weights(stages, convention):
+    """(branch per bin, (bin, state) probability at unit coefficient) of a link, as simulate_bb84 reads it."""
+    table = correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))
+    branch, maps = qkd._compile_link(table)
+    qubits = np.array([(q.alpha, q.beta) for pair in qkd._BB84_STATES for q in pair])
+    return branch, (np.abs(np.einsum("jab,sb->sja", maps, qubits)) ** 2).sum(axis=2).T
+
+
+def _landing_bins(keys, totals, branch_weight, state, u):
+    """``qkd._landing_bins`` as the oracle reports it: each pulse's bin, -1 if undetected."""
+    found, bins = qkd._landing_bins(keys, totals, branch_weight, state, u)
+    hit = np.full(len(u), -1)
+    hit[found] = bins
+    return hit
+
+
+def _draws(ensemble, count):
+    """(branch, draw) weights |coefficient|^2 of ``count`` channel draws."""
+    return np.abs(np.array([sample_noise(ensemble, seed).coefficients() for seed in range(count)]).T) ** 2
+
+
+@pytest.mark.parametrize("stages", range(1, 9))
+@pytest.mark.parametrize("convention", list(BsConvention))
+def test_landing_bins_equal_the_sequential_walk(convention, stages):
+    branch, weights = _link_weights(stages, convention)
+    keys, totals = qkd._link_keys(branch, weights)
+    rng = np.random.default_rng(stages)
+    for ensemble in (IDENTITY, HAAR, GENERAL, dephasing(1.0)):
+        draws = _draws(ensemble, 16)
+        for eta in (1.0, 0.3):
+            branch_weight = draws[:, rng.integers(16, size=10**4)]
+            state, u = rng.integers(4, size=10**4), rng.random(10**4) / eta
+            hit = _landing_bins(keys, totals, branch_weight, state, u)
+            assert hit.tolist() == sequential_bins(branch, weights, branch_weight, state, u).tolist()
+
+
+@pytest.mark.parametrize("per", [1, 3, 8])
+def test_landing_bins_follow_each_states_own_weights(per):
+    # bin weights that differ by state and by bin, unlike a real link's equal ones
+    rng = np.random.default_rng(per)
+    branch, weights = np.repeat(np.arange(4), per), rng.uniform(0.1, 1.0, size=(4 * per, 4))
+    keys, totals = qkd._link_keys(branch, weights)
+    branch_weight = rng.uniform(0.0, 1.0, size=(4, 10**4))
+    state = rng.integers(4, size=10**4)
+    u = rng.uniform(0.0, 1.2, size=10**4) * (branch_weight * totals[:, state]).sum(axis=0)
+    hit = _landing_bins(keys, totals, branch_weight, state, u)
+    assert hit.tolist() == sequential_bins(branch, weights, branch_weight, state, u).tolist()
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("convention", list(BsConvention))
+def test_landing_bins_at_the_edges_stay_within_one_bin_of_the_walk(convention, stages):
+    # at 0, at every bin and branch edge and one ulp either side, and at the total and one
+    # ulp below: the two samplers round apart, so only a neighbouring bin with mass may differ
+    branch, weights = _link_weights(stages, convention)
+    keys, totals = qkd._link_keys(branch, weights)
+    edges_per_state = 1 + 3 * len(branch)
+    state = np.repeat(np.arange(4), edges_per_state)
+    for ensemble in (IDENTITY, HAAR, GENERAL, dephasing(1.0)):
+        for draw in _draws(ensemble, 3).T:
+            mass = weights * draw[branch, None]  # (bin, state)
+            edges = np.cumsum(mass, axis=0).T
+            u = np.concatenate([np.zeros((4, 1)), edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)],
+                               axis=1).ravel()
+            branch_weight = np.repeat(draw[:, None], len(u), axis=1)
+            hit = _landing_bins(keys, totals, branch_weight, state, u)
+            walked = sequential_bins(branch, weights, branch_weight, state, u)
+            for s in range(4):
+                mine = slice(s * edges_per_state, (s + 1) * edges_per_state)
+                # rank among the bins with mass; -1, undetected, ranks after them all
+                held = np.flatnonzero(mass[:, s] > 0)
+                assert np.isin(hit[mine][hit[mine] >= 0], held).all(), (ensemble.kind, s)
+                rank, walked_rank = (np.searchsorted(held, np.where(h[mine] < 0, len(branch), h[mine]))
+                                     for h in (hit, walked))
+                assert np.abs(rank - walked_rank).max() <= 1, (ensemble.kind, s)
+
+
+def test_link_keys_reject_a_link_out_of_branch_order():
+    branch, weights = _link_weights(1, BsConvention.SYMMETRIC)
+    with pytest.raises(RuntimeError, match=r"\[3, 3, 3, 3\] in that order; .* 3 per branch"):
+        qkd._link_keys(branch[::-1].copy(), weights)
+    uneven = branch.copy()
+    uneven[3] = 0
+    with pytest.raises(RuntimeError, match=r"\[4, 2, 3, 3\]"):
+        qkd._link_keys(uneven, weights)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 1234, -1, -5, 2**63, 2**64 - 1, 2**70 + 3])

@@ -22,7 +22,7 @@ from timebinsim.qkd import Bb84Config, simulate_bb84
 EXPECTED = Path(__file__).parent / "data" / "qkd_battery.json"
 
 ENSEMBLES = {"haar": HAAR, "general": GENERAL, "dephasing0.7": dephasing(0.7)}
-#: (refresh_every, eta): a fresh channel per pulse, draws that straddle blocks, one draw per run
+#: (refresh_every, eta): a fresh channel per pulse, one per 7 pulses, and one for the whole run
 CHANNELS = ((1, 1.0), (7, 0.6), (1000, 0.3))
 PULSES = 2000
 
@@ -37,12 +37,11 @@ def configs() -> dict[str, Bb84Config]:
 
 
 def battery() -> dict[str, list[int]]:
-    return {key: [stats.detected, stats.sifted, stats.errors]
-            for key, stats in ((key, simulate_bb84(cfg)) for key, cfg in configs().items())}
-
-
-def test_battery_covers_144_configs():
-    assert len(configs()) == 144
+    counts = {}
+    for key, cfg in configs().items():
+        stats = simulate_bb84(cfg)
+        counts[key] = [stats.detected, stats.sifted, stats.errors]
+    return counts
 
 
 def test_counts_equal_the_recorded_battery():

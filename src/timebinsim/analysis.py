@@ -35,8 +35,8 @@ from .circuits import (
     check_compatible,
     run,
 )
-from .noise import (NoiseEnsemble, NoiseParams, _apply_collective_noise, _draw_noise,
-                    _seeded_generators, sample_noise)
+from .noise import (_MASK64, NoiseEnsemble, NoiseParams, _apply_collective_noise, _seeded_generators,
+                    sample_coefficients, sample_noise)
 from .state import H, V, PhotonState, QubitSpec, _max_or_nan, new_state, random_qubit
 
 
@@ -359,15 +359,19 @@ def success_probability_sweep(
 ) -> SweepResult:
     """Success probability over many channel draws; must pin to (N-1)/N.
 
-    Deterministic per seed: sample i uses noise seed ``seed + i`` and a
-    random input qubit from ``default_rng((seed, i))``, both drawn from one
-    generator set to each seed's state, and evaluated in blocks from the
-    table's slot maps. Sample 0 is also drawn from its own generators and
-    interpreted; a draw differing in any bit, or an ``analyze`` result
-    differing by more than 1e-12, raises RuntimeError.
+    Deterministic per seed: sample i uses noise seed ``seed + i``, which
+    must lie below 2**64, and a random input qubit from
+    ``default_rng((seed, i))``. Samples are evaluated in blocks from the
+    table's slot maps; a block's noise rows come from one
+    ``sample_coefficients`` call and its qubits from one generator set to
+    each (seed, i)'s state. Sample 0 is also drawn alone and interpreted; a
+    draw differing in any bit, or an ``analyze`` result differing by more
+    than 1e-12, raises RuntimeError.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if not 0 <= seed <= _MASK64 - (samples - 1):
+        raise ValueError(f"seed must be non-negative and seed + {samples - 1} below 2**64, got {seed}")
     table = correction_table(encoder, decoder)
     n = encoder.bins_per_group
     target = (n - 1) / n
@@ -377,10 +381,14 @@ def success_probability_sweep(
     rows = []
     for start in range(0, samples, per_block):
         block = range(start, min(start + per_block, samples))
-        noise_rngs = _seeded_generators(gen, [seed + i for i in block])
-        params = [_draw_noise(ensemble, rng) for rng in noise_rngs]
+        seeds = seed + np.arange(block.start, block.stop, dtype=np.uint64)
+        coefficients = sample_coefficients(ensemble, seeds)
+        if ensemble.kind in ("identity", "dephasing"):  # read no seed; keep sample_noise's float entries
+            params = [sample_noise(ensemble, seed)] * len(block)
+        else:
+            params = [NoiseParams(*row) for row in coefficients.tolist()]
         qubits = [random_qubit(rng) for rng in _seeded_generators(gen, [(seed, i) for i in block])]
-        success, worst = _evaluate(table, np.array([p.coefficients() for p in params], dtype=complex),
+        success, worst = _evaluate(table, coefficients,
                                    np.array([(q.alpha, q.beta) for q in qubits], dtype=complex))
         rows += map(SweepSample, params, success.tolist(), worst.tolist())
         if start == 0:

@@ -84,7 +84,7 @@ def _phase_class_deviation(actual: PhotonState, expected: PhotonState, spec: Enc
 
 
 def cmd_golden(args) -> int:
-    _check_seed(args.seed)
+    _check_seed(args.seed, 9)  # the noise-branches check draws seeds seed to seed + 9
     convention = BsConvention(args.convention)
     spec = EncoderSpec(stages=1, convention=convention)
     rng = np.random.default_rng(args.seed)
@@ -153,13 +153,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _check_seed(seed: int):
-    if seed < 0:  # numpy's own message would name no flag
+def _check_seed(seed: int, last: int = 0):
+    """Reject a seed whose channel seeds, ``seed`` to ``seed + last``, leave [0, 2**64)."""
+    if seed < 0:  # the library's own message would name no flag
         raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+    if seed + last >= 2**64:
+        raise ValueError(f"--seed must be at most 2**64 - {last + 1}, got {seed}")
 
 
 def cmd_sweep(args) -> int:
-    _check_seed(args.seed)
+    _check_seed(args.seed, args.samples - 1)
     convention = BsConvention(args.convention)
     result = success_probability_sweep(
         encoder_spec_for(args.stages, convention), DecoderSpec(0, convention),
@@ -190,9 +193,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    _check_seed(args.seed)
     if not 1 <= args.max_stages <= 6:
         raise ValueError("--max-stages must be 1 to 6: scaling beyond 6 stages is not desk-scale")
+    _check_seed(args.seed, args.max_stages)  # row n draws its channel from seed + n
     convention = BsConvention(args.convention)
     rows = []
     for stages in range(1, args.max_stages + 1):
@@ -221,9 +224,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_qkd(args) -> int:
-    _check_seed(args.seed)
-    if args.seed >= 2**64:  # qkd's draws read the seed modulo 2**64
-        raise ValueError(f"--seed must be below 2**64, got {args.seed}")
+    _check_seed(args.seed)  # qkd's draws read the seed as one 64-bit word
     cfg = Bb84Config(
         pulses=args.pulses,
         stages=args.stages,

@@ -10,6 +10,11 @@ to every wavepacket of a transmission, with each image normalized
 required: the normalization alone already guarantees norm conservation
 for trains that carry a single polarization per time slot, which is the
 regime the encoder produces, and the wider class is worth simulating.
+
+Haar and general draws read a counter-based stream: word k of a channel
+seed is a splitmix64 hash of the seed and k (Salmon et al., SC'11), so a
+draw is a pure function of its seed, and one formula evaluates it on
+Python floats for one seed or on numpy arrays for many, bit for bit alike.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import H, V, PhotonState, TOLERANCE, _unit_vector
+from .state import H, V, PhotonState, TOLERANCE
+
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -86,53 +93,107 @@ def dephasing(phi: float) -> NoiseEnsemble:
     return NoiseEnsemble("dephasing", phi)
 
 
-def _haar_u2(rng) -> NoiseParams:
-    # Euler-angle form of the uniform measure on U(2): three independent
-    # uniform phases plus a mixing angle with sin^2(theta) uniform.
-    xi, a, b, g = rng.random(4)
-    c = math.sqrt(1.0 - xi)
-    s = math.sqrt(xi)
-    pa = cmath.exp(2j * math.pi * a)
-    pb = cmath.exp(2j * math.pi * b)
-    pg = cmath.exp(2j * math.pi * g)
-    return NoiseParams(
-        pg * pa * c,             # |H> -> H
-        -pg * s / pb,            # |H> -> V
-        pg * pb * s,             # |V> -> H
-        pg * c / pa,             # |V> -> V
-    )
+def _mix64(x):
+    # splitmix64 finalizer: cheap, stable, well-distributed; on ints or uint64 arrays
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+    return x ^ (x >> 31)
+
+
+#: Words of the channel stream each stochastic ensemble reads.
+_WORDS = {"haar": 4, "general": 6}
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _words(seed, count: int):
+    """Words 1..count of a channel seed's counter-based stream, uniform in [0, 1).
+
+    Word k is the top 53 bits of ``_mix64(_mix64(seed) + k * _GOLDEN)``: a
+    list of floats for an int seed, a (count, seeds) array for a uint64 array.
+    """
+    base = _mix64(seed)
+    if isinstance(seed, np.ndarray):
+        k = np.arange(1, count + 1, dtype=np.uint64)[:, None]
+        return (_mix64(base + _GOLDEN * k) >> 11) * 2.0 ** -53
+    return [(_mix64(base + _GOLDEN * k & _MASK64) >> 11) * 2.0 ** -53 for k in range(1, count + 1)]
+
+
+def _rows(kind: str, words, sqrt, cis) -> tuple:
+    """(re, im) of d1, g1, d2 and g2, flattened, from a stream's words.
+
+    Floats with ``math.sqrt`` and ``cmath.exp``, or arrays with ``np.sqrt``
+    and ``np.exp``: the formula takes only real sums and products, which
+    IEEE rounds alike, correctly rounded square roots, and ``exp`` of an
+    imaginary argument, which both take as (cos, sin) of one float product.
+    So one draw and its row of a batch agree bit for bit; qkd's first-row
+    check stops a run where a platform's libraries make them disagree.
+    """
+    def phase(t):
+        p = cis(2j * math.pi * t)
+        return p.real, p.imag
+
+    if kind == "haar":
+        # Euler angles of the uniform measure on U(2): a mixing angle with
+        # sin^2 uniform and three uniform phases (Mezzadri 2007)
+        xi, a, b, g = words
+        c, s = sqrt(1.0 - xi), sqrt(xi)
+        pa, pb, pg = phase(a), phase(b), phase(g)
+        return (*_scale(_c_prod(pg, pa), c),             # |H> -> H
+                *_scale(_c_prod(pg, _conj(pb)), -s),     # |H> -> V
+                *_scale(_c_prod(pg, pb), s),             # |V> -> H
+                *_scale(_c_prod(pg, _conj(pa)), c))      # |V> -> V
+    # each image (sqrt(1 - x) e^(2 pi i a), sqrt(x) e^(2 pi i b)) is uniform on
+    # the unit sphere of C^2, where |second entry|^2 is uniform (Hopf coordinates)
+    x1, a1, b1, x2, a2, b2 = words
+    return (*_scale(phase(a1), sqrt(1.0 - x1)), *_scale(phase(b1), sqrt(x1)),
+            *_scale(phase(a2), sqrt(1.0 - x2)), *_scale(phase(b2), sqrt(x2)))
+
+
+def _c_prod(a, b):
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _conj(a):
+    return a[0], -a[1]
+
+
+def _scale(a, x):
+    return a[0] * x, a[1] * x
 
 
 def sample_noise(ensemble: NoiseEnsemble, seed: int) -> NoiseParams:
-    """Deterministic draw: the same (ensemble, seed) always yields the same params."""
-    stochastic = ensemble.kind in ("haar", "general")
-    return _draw_noise(ensemble, np.random.default_rng(seed) if stochastic else None)
+    """Deterministic draw: the same (ensemble, seed) always yields the same params.
 
-
-def _draw_noise(ensemble: NoiseEnsemble, rng) -> NoiseParams:
-    """A draw from a numpy Generator, which the identity and dephasing ensembles do not read."""
+    A haar or general draw reads the channel stream of ``seed``, which must
+    lie in [0, 2**64); the identity and dephasing ensembles read no seed.
+    """
     if ensemble.kind == "identity":
         return NoiseParams.identity()
     if ensemble.kind == "dephasing":
         return NoiseParams(1.0, 0.0, 0.0, cmath.exp(1j * ensemble.phi))
-    if ensemble.kind == "haar":
-        return _haar_u2(rng)
-    return NoiseParams(*_unit_vector(rng), *_unit_vector(rng))  # (d1, g1), then (d2, g2)
+    seed = operator.index(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seeds must lie in [0, 2**64), got {seed}")
+    parts = _rows(ensemble.kind, _words(seed, _WORDS[ensemble.kind]), math.sqrt, cmath.exp)
+    return NoiseParams(*map(complex, parts[0::2], parts[1::2]))
 
 
 def sample_coefficients(ensemble: NoiseEnsemble, seeds) -> np.ndarray:
     """``sample_noise`` for many seeds: a (draws, 4) complex array.
 
     Row k is (d1, g1, d2, g2) of ``sample_noise(ensemble, seeds[k])``, bit
-    for bit, in the order of ``analysis.BRANCHES``. Haar draws are made in
-    one vectorized pass over the seeds; the other ensembles call
-    ``sample_noise`` per seed. Seeds must lie in [0, 2**64).
+    for bit, in the order of ``analysis.BRANCHES``: haar and general rows
+    evaluate ``sample_noise``'s formula once over arrays of all the seeds.
+    Seeds must lie in [0, 2**64).
     """
     seeds = _seed_array(seeds)
-    if ensemble.kind != "haar":
-        rows = [sample_noise(ensemble, int(s)).coefficients() for s in seeds]
-        return np.array(rows, dtype=complex).reshape(len(seeds), 4)
-    coefficients = _haar_coefficients(_pcg64_random4(seeds))
+    if ensemble.kind not in _WORDS:
+        row = np.array(sample_noise(ensemble, 0).coefficients(), dtype=complex)
+        return np.tile(row, (len(seeds), 1))
+    with np.errstate(invalid="ignore"):  # a NaN word is left to the norm check
+        parts = _rows(ensemble.kind, _words(seeds, _WORDS[ensemble.kind]), np.sqrt, np.exp)
+    coefficients = np.stack(parts, axis=1).view(complex)
     squares = coefficients.view(float) ** 2
     norms = np.stack((squares[:, :4].sum(axis=1), squares[:, 4:].sum(axis=1)))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= TOLERANCE).all(axis=0))  # also rejects NaN
@@ -155,55 +216,12 @@ def _seed_array(seeds) -> np.ndarray:
     return np.array(values, dtype=np.uint64)
 
 
-def _haar_coefficients(uniforms: np.ndarray) -> np.ndarray:
-    """``_haar_u2`` over rows of four uniforms: a (draws, 4) complex array.
-
-    Python's complex ``*`` and ``/`` (CPython's ``_Py_c_prod`` and
-    ``_Py_c_quot``, a real operand taken as imaginary part 0) are written
-    out on (real, imaginary) pairs in their operation order, because
-    numpy's own complex product and quotient round differently in the last
-    bit. ``cmath.exp(2j * pi * x)`` is (cos, sin) of the float product
-    2 * pi * x, which numpy's complex ``exp`` reproduces.
-    """
-    xi = uniforms[:, 0]
-    zero = np.zeros(len(xi))
-    c, s = (np.sqrt(1.0 - xi), zero), (np.sqrt(xi), zero)
-    phase = np.zeros((3, len(xi)), dtype=complex)
-    phase.imag = 2.0 * math.pi * uniforms[:, 1:].T
-    with np.errstate(invalid="ignore"):  # a NaN phase is left to the norm check
-        pa, pb, pg = ((p.real, p.imag) for p in np.exp(phase))
-    parts = (
-        _c_prod(_c_prod(pg, pa), c),                # |H> -> H
-        _c_quot(_c_prod((-pg[0], -pg[1]), s), pb),  # |H> -> V
-        _c_prod(_c_prod(pg, pb), s),                # |V> -> H
-        _c_quot(_c_prod(pg, c), pa),                # |V> -> V
-    )
-    return np.stack([x for part in parts for x in part], axis=1).view(complex)
-
-
-def _c_prod(a, b):
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _c_quot(a, b):
-    # both of _Py_c_quot's branches, with the ratio's division made once and
-    # only by the larger part, so no lane divides by zero
-    (ar, ai), (br, bi) = a, b
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_real, bi, br) / np.where(by_real, br, bi)
-    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    return (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom,
-            np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom)
-
-
 # -- np.random.default_rng(entropy) over many entropies ------------------------
 #
 # default_rng hashes the entropy with numpy's SeedSequence into a PCG64 128-bit
-# state and increment; random() takes the top 53 bits of each XSL-RR output.
+# state and increment; the sweep's random qubits start from that state.
 # SeedSequence's hash constants advance per call, not per entropy, so they are
-# precomputed; for random(4) the seeding steps and the four outputs fold into
-# one jump. Constants from numpy/random/bit_generator.pyx and src/pcg64/pcg64.h.
+# precomputed. Constants from numpy/random/bit_generator.pyx and src/pcg64/pcg64.h.
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -226,42 +244,9 @@ _POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 
 
-def _words128(values) -> tuple[np.ndarray, np.ndarray]:
-    """128-bit integers as (high, low) uint64 columns."""
-    values = [v % (1 << 128) for v in values]
-    return (np.array([[v >> 64] for v in values], dtype=np.uint64),
-            np.array([[v & (1 << 64) - 1] for v in values], dtype=np.uint64))
-
-
-# The seeding leaves state M*(seed_state + inc) + inc, and each output steps
-# first, so output k reads M^(k+2) seed_state + (M^(k+2) + ... + M + 1) inc.
-_STATE_JUMP = _words128(pow(_PCG64_MULT, k + 2, 1 << 128) for k in range(4))
-_INC_JUMP = _words128(sum(pow(_PCG64_MULT, i, 1 << 128) for i in range(k + 3)) for k in range(4))
-
-
 def _hashmix(values, xors, mults):
     values = (values ^ xors) * mults
     return values ^ values >> 16
-
-
-def _mulhi64(a, b):
-    """High 64 bits of the 128-bit product, from 32-bit halves."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
-def _mul128(x, y):
-    """x * y mod 2**128 on (high, low) uint64 pairs."""
-    (xh, xl), (yh, yl) = x, y
-    return _mulhi64(xl, yl) + xh * yl + xl * yh, xl * yl
-
-
-def _add128(x, y):
-    (xh, xl), (yh, yl) = x, y
-    low = xl + yl
-    return xh + yh + (low < xl), low
 
 
 def _seed_sequence(pool: np.ndarray):
@@ -279,18 +264,6 @@ def _seed_sequence(pool: np.ndarray):
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_STATE_HASH).astype(np.uint64)
     seed_state_h, seed_state_l, seq_h, seq_l = words[0::2] | words[1::2] << 32
     return (seed_state_h, seed_state_l), (seq_h << 1 | seq_l >> 63, seq_l << 1 | 1)
-
-
-def _pcg64_random4(seeds: np.ndarray) -> np.ndarray:
-    """``np.random.default_rng(seed).random(4)`` per uint64 seed: a (draws, 4) array."""
-    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
-    pool[0] = seeds & _MASK32
-    pool[1] = seeds >> 32
-    seed_state, inc = _seed_sequence(pool)
-    high, low = _add128(_mul128(seed_state, _STATE_JUMP), _mul128(inc, _INC_JUMP))
-    xored, rot = high ^ low, high >> 58
-    out = xored >> rot | xored << (64 - rot & 63)
-    return (out >> 11).T * 2.0 ** -53
 
 
 def _entropy_words(entropy) -> list[int]:

@@ -3,8 +3,9 @@
 Each pulse carries one of the four BB84 states through the full
 encode/corrupt/decode chain. The link is read once off the correction
 table, as each accepted slot's 2x2 map times the Pauli that undoes it,
-and a block of pulses is evaluated through it at once; a block's Haar
-channel draws are made in one vectorized pass. Detection is sampled from
+and a block of pulses is evaluated through it at once; a block's channel
+draws are one evaluation of the noise module's counter-based stream over
+an array of channel seeds. Detection is sampled from
 the exact corrected bin probabilities scaled by the baseline detector
 efficiency, branch then bin: a pulse's branch from the four masses its
 channel draw gives the branches, then its bin within the branch by one
@@ -30,8 +31,8 @@ from .circuits import DecoderSpec, encoder_spec_for
 # tests/test_qkd.py and for the benchmark's tracer (perfbench/spans.py).
 from .circuits import run  # noqa: F401
 from .elements import _INV_SQRT2, BsConvention
-from .noise import (HAAR, NoiseEnsemble, _apply_collective_noise,  # noqa: F401
-                    sample_coefficients, sample_noise)
+from .noise import (_MASK64, HAAR, NoiseEnsemble, _apply_collective_noise,  # noqa: F401
+                    _mix64, sample_coefficients, sample_noise)
 from .state import QubitSpec
 
 #: Alice's states, indexed [basis][bit]; basis 0 is H/V, basis 1 diagonal.
@@ -102,8 +103,6 @@ def effective_efficiency(stages: int, eta: float) -> float:
     return eta * (n - 1) / n
 
 
-_MASK64 = (1 << 64) - 1
-
 #: Pulses evaluated together. Every per-pulse array is 1-D, so a block
 #: holds O(_BLOCK_PULSES) numbers whatever the cascade depth.
 _BLOCK_PULSES = 1 << 12
@@ -112,17 +111,6 @@ _BLOCK_PULSES = 1 << 12
 #: pulse, then Bob's basis and measurement draw per detected pulse.
 _ALICE_DRAWS = np.arange(3, dtype=np.uint64)[:, None]
 _BOB_DRAWS = np.arange(3, 5, dtype=np.uint64)[:, None]
-
-#: Fewest Haar draws in a block that ``sample_coefficients`` makes in one
-#: pass: its fixed cost is about that of this many ``sample_noise`` calls.
-_BATCH_DRAWS = 16
-
-
-def _mix64(x: int) -> int:
-    # splitmix64 finalizer: cheap, stable, well-distributed
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
-    return x ^ (x >> 31)
 
 
 def _derived_seed(master: int, index: int, domain: int = 0) -> int:
@@ -177,18 +165,17 @@ def _compile_link(table: CorrectionTable) -> tuple[np.ndarray, np.ndarray]:
 def _channel_coefficients(ensemble: NoiseEnsemble, seeds: np.ndarray) -> np.ndarray:
     """(draw, branch) noise coefficients, one row per channel seed.
 
-    The first draw always goes through ``sample_noise``. Haar blocks of at
-    least ``_BATCH_DRAWS`` draws take every row from ``sample_coefficients``,
-    whose first row must equal that draw bit for bit: a numpy whose
-    generator the batch no longer reproduces fails here, not silently.
+    The first draw always goes through ``sample_noise``; a block of more
+    draws takes every row from ``sample_coefficients``, whose first row must
+    equal that draw bit for bit: an array path that rounds apart from the
+    scalar one fails here, not silently.
     """
     first = np.array(sample_noise(ensemble, int(seeds[0])).coefficients(), dtype=complex)
-    if ensemble.kind != "haar" or len(seeds) < _BATCH_DRAWS:
-        rest = [sample_noise(ensemble, int(s)).coefficients() for s in seeds[1:]]
-        return np.array([first, *rest], dtype=complex)
+    if len(seeds) == 1:
+        return first[None]
     coefficients = sample_coefficients(ensemble, seeds)
     if coefficients[0].tobytes() != first.tobytes():
-        raise RuntimeError(f"batched Haar draw {coefficients[0].tolist()} differs from "
+        raise RuntimeError(f"batched draw {coefficients[0].tolist()} differs from "
                            f"sample_noise's {first.tolist()} for seed {seeds[0]}")
     return coefficients
 
@@ -250,7 +237,10 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
 
     Pulses are evaluated ``_BLOCK_PULSES`` at a time as 1-D numpy arrays
     through the link's compiled map; each pulse draws the same counter-
-    based uniforms (seed, pulse, draw index) it would draw alone.
+    based uniforms (seed, pulse, draw index) it would draw alone, and each
+    channel draw k reads the stream of channel seed
+    ``_derived_seed(seed, k, domain=1)``, the same words alone or in a block.
+    No draw touches ``numpy.random``.
 
     A pulse is detected in the bin that holds its detection draw when the
     accepted bins, in link order, partition [0, total). ``_landing_bins``
@@ -278,7 +268,7 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
         seeds = _derived_seed(cfg.seed, np.arange(first, last + 1, dtype=np.uint64), domain=1)
         coefficients = _channel_coefficients(cfg.ensemble, seeds)  # (draw, branch)
         draw = (pulse // refresh - first).astype(np.intp)
-        branch_weight = (np.abs(coefficients) ** 2).T[:, draw]  # (branch, pulse)
+        branch_weight = (np.abs(coefficients) ** 2).take(draw, axis=0).T  # (branch, pulse)
 
         alice_basis, alice_bit, u = _uniform(cfg.seed, pulse, _ALICE_DRAWS)
         alice_basis, alice_bit = alice_basis < 0.5, alice_bit < 0.5

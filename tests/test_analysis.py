@@ -321,7 +321,7 @@ def test_an_uncorrectable_bin_raises_the_derivation_error(convention, stages, mo
 # -- references for the batched sweep draws and the table's derivation ---------
 
 def reference_sweep(enc, dec, ensemble, samples, seed):
-    """The sweep as a per-sample loop that makes one default_rng per draw."""
+    """The sweep as a per-sample loop: one sample_noise and one default_rng per sample."""
     table = correction_table(enc, dec)
     per_block = max(1, analysis._BLOCK_SLOTS // len(table.windows))
     rows = []
@@ -338,25 +338,25 @@ def reference_sweep(enc, dec, ensemble, samples, seed):
                                 max(abs(r.success - target) for r in rows))
 
 
-@pytest.mark.parametrize("seed", [3, 2**64 - 1])
+@pytest.mark.parametrize("seed", [3, 2**64 - 130])
 @pytest.mark.parametrize("samples", [1, 59, 60, 61, 130])
 @pytest.mark.parametrize("ensemble", [IDENTITY, HAAR, GENERAL, dephasing(1.0)], ids=lambda e: e.kind)
 def test_sweep_equals_the_per_sample_loop_bit_for_bit(ensemble, samples, seed):
-    # 60 samples make a block at stage 3; from seed 2**64 the noise seed takes three words
+    # 60 samples make a block at stage 3; 2**64 - 130 is the top seed whose 130 noise seeds fit in 64 bits
     enc, dec = encoder_spec_for(3, SYM), DecoderSpec(0, SYM)
     result = success_probability_sweep(enc, dec, ensemble, samples, seed)
     assert repr(result) == repr(reference_sweep(enc, dec, ensemble, samples, seed))
 
 
-@pytest.mark.parametrize("stream", [int, tuple], ids=["noise", "qubit"])
+@pytest.mark.parametrize("stream", ["noise", "qubit"])
 def test_a_batch_shifted_by_one_row_stops_the_sweep(stream, monkeypatch):
-    # the noise seeds are ints, the qubit entropies (seed, i) tuples
-    def shifted(gen, entropies):
-        if isinstance(entropies[0], stream):
-            entropies = entropies[1:] + entropies[:1]
-        return noise._seeded_generators(gen, entropies)
-
-    monkeypatch.setattr(analysis, "_seeded_generators", shifted)
+    # the noise rows come from one channel-stream batch, the qubits from seeded generators
+    if stream == "noise":
+        monkeypatch.setattr(analysis, "sample_coefficients",
+                            lambda ensemble, seeds: noise.sample_coefficients(ensemble, np.roll(seeds, -1)))
+    else:
+        monkeypatch.setattr(analysis, "_seeded_generators",
+                            lambda gen, entropies: noise._seeded_generators(gen, entropies[1:] + entropies[:1]))
     with pytest.raises(RuntimeError, match="batched draw .* of sweep sample 0 .* for seed 5"):
         success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), GENERAL, 3, 5)
 
@@ -365,6 +365,13 @@ def test_a_negative_seed_raises_on_the_batched_path():
     for ensemble in (IDENTITY, GENERAL):
         with pytest.raises(ValueError, match="non-negative"):
             success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), ensemble, 3, -1)
+
+
+def test_noise_seeds_past_64_bits_raise_before_any_draw():
+    for ensemble in (IDENTITY, GENERAL):
+        success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), ensemble, 3, 2**64 - 3)
+        with pytest.raises(ValueError, match=r"seed \+ 2 below 2\*\*64, got 18446744073709551614"):
+            success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), ensemble, 3, 2**64 - 2)
 
 
 def oracle_slot_maps(table):

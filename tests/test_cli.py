@@ -161,7 +161,7 @@ def test_scaling_rows_equal_the_interpreter(convention, seed, tmp_path):
 
 
 def test_scaling_draws_its_qubit_from_another_stream_than_its_channel(monkeypatch, tmp_path):
-    # the channel of row n comes from default_rng(seed + n); the qubit must not read the same words
+    # row n's qubit starts where default_rng((seed, n)) does, not default_rng(seed + n)
     starts = []
 
     def recording_random_qubit(rng):
@@ -200,7 +200,12 @@ def test_scaling_rejects_a_depth_outside_1_to_6(max_stages, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["sweep", "--seed", "-1"], ["scaling", "--seed", "-3"],
                                   ["scaling", "--seed", "-1"], ["qkd", "--seed", "-1"],
-                                  ["qkd", "--seed", str(2**64)]])
+                                  ["qkd", "--seed", str(2**64)],
+                                  # the last channel seed, seed + draws - 1, passes 2**64 - 1
+                                  ["sweep", "--seed", str(2**64 - 99)],
+                                  ["sweep", "--samples", "5", "--seed", str(2**64 - 4)],
+                                  ["scaling", "--seed", str(2**64 - 3)],
+                                  ["scaling", "--max-stages", "6", "--seed", str(2**64 - 6)]])
 def test_negative_seed_exits_2_naming_the_flag_and_writing_nothing(argv, tmp_path, capsys):
     out = tmp_path / "never.csv"
     assert main(argv + ["--out", str(out)]) == 2
@@ -210,10 +215,19 @@ def test_negative_seed_exits_2_naming_the_flag_and_writing_nothing(argv, tmp_pat
 
 
 def test_golden_negative_seed_exits_2_naming_the_flag(capsys):
-    # golden has no --out: it writes only to stdout
-    assert main(["golden", "--seed", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert "--seed" in captured.err and captured.out == ""
+    # golden has no --out: it writes only to stdout; its ten draws end at seed + 9
+    for seed in ("-1", str(2**64 - 9)):
+        assert main(["golden", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["golden", "--seed", str(2**64 - 10)],
+                                  ["sweep", "--samples", "5", "--seed", str(2**64 - 5)],
+                                  ["scaling", "--max-stages", "2", "--seed", str(2**64 - 3)],
+                                  ["qkd", "--pulses", "50", "--seed", str(2**64 - 1)]])
+def test_the_top_seed_whose_draws_fit_runs(argv, capsys):
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("command", ["sweep", "qkd"])

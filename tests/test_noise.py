@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,14 +56,6 @@ def test_sampling_is_deterministic():
     for ens in (HAAR, GENERAL):
         assert sample_noise(ens, 99) == sample_noise(ens, 99)
         assert sample_noise(ens, 99) != sample_noise(ens, 100)
-
-
-def test_general_draw_and_random_qubit_share_one_unit_vector_draw():
-    # the image of |H> is drawn first, from the same four normals a qubit reads
-    for seed in range(200):
-        q = random_qubit(np.random.default_rng(seed))
-        p = sample_noise(GENERAL, seed)
-        assert np.array([q.alpha, q.beta]).tobytes() == np.array([p.d1, p.g1]).tobytes()
 
 
 def test_params_invariant_enforced():
@@ -176,12 +172,12 @@ def test_as_floats_order():
     assert p.as_floats() == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
-# -- the batched draw ----------------------------------------------------------
+# -- the channel stream and its batch ------------------------------------------
 
 #: the channel seeds simulate_bb84 draws, plus the edges of the seed range
+EDGE_SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 BATCH_SEEDS = [qkd._derived_seed(seed, index, domain=1)
-               for seed in (0, 1, 2**64 - 1) for index in range(1666)]
-BATCH_SEEDS += [0, 1, 2, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+               for seed in (0, 1, 2**64 - 1) for index in range(6667)] + EDGE_SEEDS
 ENSEMBLES = [IDENTITY, HAAR, GENERAL, dephasing(0.7)]
 
 
@@ -191,6 +187,7 @@ def reference_rows(ensemble, seeds):
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES, ids=lambda e: e.kind)
 def test_batched_draws_are_sample_noise_bit_for_bit(ensemble):
+    # over 20,000 seeds a last-bit difference between the float and array paths would show
     expected = reference_rows(ensemble, BATCH_SEEDS)
     for seeds in (BATCH_SEEDS, np.array(BATCH_SEEDS, dtype=np.uint64)):
         batch = sample_coefficients(ensemble, seeds)
@@ -198,16 +195,49 @@ def test_batched_draws_are_sample_noise_bit_for_bit(ensemble):
         assert batch.tobytes() == expected.tobytes()
 
 
-def test_batched_uniforms_are_default_rng():
-    batch = noise._pcg64_random4(np.array(BATCH_SEEDS, dtype=np.uint64))
-    expected = np.array([np.random.default_rng(s).random(4) for s in BATCH_SEEDS])
-    assert batch.tobytes() == expected.tobytes()
+#: n = 20,000 draws at fixed seeds, as the sweep draws them from seed 0
+DRAWS = 20_000
+
+
+def ks_distance(x):
+    """Kolmogorov-Smirnov distance of a sample from the uniform distribution on [0, 1)."""
+    x = np.sort(x)
+    ranks = np.arange(1, len(x) + 1) / len(x)
+    return max((ranks - x).max(), (x - ranks + 1 / len(x)).max())
+
+
+#: KS critical distance at alpha = 1e-3: sqrt(-ln(alpha / 2) / 2) / sqrt(n)
+KS_CRITICAL = math.sqrt(-math.log(1e-3 / 2) / 2) / math.sqrt(DRAWS)
+
+
+def test_haar_draws_are_haar_distributed():
+    d1, g1, d2, g2 = sample_coefficients(HAAR, np.arange(DRAWS, dtype=np.uint64)).T
+    u = np.array([[d1, d2], [g1, g2]]).transpose(2, 0, 1)  # column j is the image of basis state j
+    assert np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(2)).max() <= 1e-12
+    assert ks_distance(np.abs(d1) ** 2) < KS_CRITICAL
+    # |U_ij|^2 is uniform, so E|U_ij|^4 = 1/3 with variance 1/5 - 1/9
+    sigma = math.sqrt((1 / 5 - 1 / 9) / DRAWS)
+    for entry in (d1, g1, d2, g2):
+        assert abs(np.mean(np.abs(entry) ** 4) - 1 / 3) < 5 * sigma
+    # the phases: E|tr U|^2 = 1 on U(2), with variance E|tr U|^4 - 1 = 1
+    assert abs(np.mean(np.abs(d1 + g2) ** 2) - 1.0) < 5 / math.sqrt(DRAWS)
+
+
+def test_general_draws_are_independent_uniform_unit_vectors():
+    d1, g1, d2, g2 = sample_coefficients(GENERAL, np.arange(DRAWS, dtype=np.uint64)).T
+    for first, second in ((d1, g1), (d2, g2)):
+        assert np.abs(np.abs(first) ** 2 + np.abs(second) ** 2 - 1.0).max() <= 1e-12
+        assert ks_distance(np.abs(first) ** 2) < KS_CRITICAL
+        for entry in (first, second):
+            assert ks_distance(np.angle(entry) / (2 * math.pi) % 1.0) < KS_CRITICAL
+    # the two images are drawn independently
+    assert abs(np.corrcoef(np.abs(d1) ** 2, np.abs(d2) ** 2)[0, 1]) < 5 / math.sqrt(DRAWS)
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES, ids=lambda e: e.kind)
-def test_block_draws_on_both_sides_of_the_crossover(ensemble):
-    seeds = qkd._derived_seed(9, np.arange(3 * qkd._BATCH_DRAWS, dtype=np.uint64), domain=1)
-    for size in (1, 2, qkd._BATCH_DRAWS - 1, qkd._BATCH_DRAWS, qkd._BATCH_DRAWS + 1, len(seeds)):
+def test_block_draws_are_sample_noise_at_every_size(ensemble):
+    seeds = qkd._derived_seed(9, np.arange(48, dtype=np.uint64), domain=1)
+    for size in (1, 2, 15, 16, 17, len(seeds)):
         rows = qkd._channel_coefficients(ensemble, seeds[:size])
         assert rows.tobytes() == reference_rows(ensemble, seeds[:size]).tobytes(), size
 
@@ -223,32 +253,42 @@ def test_derived_seed_over_index_arrays_is_the_scalar_value(master):
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
 def test_batch_rejects_seeds_outside_64_bits(seed):
-    # default_rng takes 2**64 and above, with more entropy words than the batch models
-    with pytest.raises(ValueError, match="2\\*\\*64"):
-        sample_coefficients(HAAR, [5, seed])
+    # the stream hashes the seed as one 64-bit word, so a wider seed would wrap
+    for ensemble in (HAAR, GENERAL):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            sample_noise(ensemble, seed)
+    for ensemble in ENSEMBLES:
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            sample_coefficients(ensemble, [5, seed])
+    assert sample_noise(IDENTITY, seed) == NoiseParams.identity()  # reads no seed
 
 
 def test_batch_rejects_an_unnormalized_draw_with_its_index(monkeypatch):
-    original = noise._pcg64_random4
-    for column in range(4):  # the mixing angle and each of the three phases
-        def nan_uniform(seeds, column=column):
-            uniforms = original(seeds).copy()
-            uniforms[3, column] = np.nan
-            return uniforms
+    original = noise._words
+    for ensemble in (HAAR, GENERAL):
+        for word in range(noise._WORDS[ensemble.kind]):  # each angle and each phase
+            def nan_word(seed, count, word=word):
+                words = original(seed, count)
+                if isinstance(seed, np.ndarray):
+                    words = words.copy()
+                    words[word, 3] = np.nan
+                return words
 
-        monkeypatch.setattr(noise, "_pcg64_random4", nan_uniform)
-        with pytest.raises(ValueError, match="draw 3 "):
-            sample_coefficients(HAAR, BATCH_SEEDS[:20])
+            monkeypatch.setattr(noise, "_words", nan_word)
+            with pytest.raises(ValueError, match="draw 3 "):
+                sample_coefficients(ensemble, BATCH_SEEDS[:20])
 
 
 def test_a_batch_that_is_not_sample_noise_stops_the_run(monkeypatch):
-    original = noise._pcg64_random4
-    monkeypatch.setattr(noise, "_pcg64_random4", lambda seeds: original(np.roll(seeds, -1)))
-    seeds = np.array(BATCH_SEEDS[:qkd._BATCH_DRAWS], dtype=np.uint64)
-    with pytest.raises(RuntimeError, match="differs from sample_noise"):
-        qkd._channel_coefficients(HAAR, seeds)
-    with pytest.raises(RuntimeError, match="differs from sample_noise"):
-        qkd.simulate_bb84(qkd.Bb84Config(pulses=100, ensemble=HAAR, seed=2))
+    original = noise._words
+    monkeypatch.setattr(noise, "_words", lambda seed, count: original(
+        np.roll(seed, -1) if isinstance(seed, np.ndarray) else seed, count))
+    seeds = np.array(BATCH_SEEDS[:2], dtype=np.uint64)
+    for ensemble in (HAAR, GENERAL):
+        with pytest.raises(RuntimeError, match="differs from sample_noise"):
+            qkd._channel_coefficients(ensemble, seeds)
+        with pytest.raises(RuntimeError, match="differs from sample_noise"):
+            qkd.simulate_bb84(qkd.Bb84Config(pulses=100, ensemble=ensemble, seed=2))
 
 
 # -- the seeded generators of the sweep ----------------------------------------
@@ -274,15 +314,20 @@ def test_seeded_generators_reject_a_negative_seed(entropy):
         list(noise._seeded_generators(np.random.default_rng(0), [5, entropy]))
 
 
-def test_importing_the_package_does_not_import_numpy_random():
-    # numpy.random costs 15-20 ms of import, about a fifth of a short run's set-up
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def imports_numpy_random(code: str) -> bool:
+    """Whether ``code``, run in a fresh interpreter after ``import sys, timebinsim``, imports numpy.random."""
     src = str(Path(noise.__file__).resolve().parents[1])
-    code = "import sys, timebinsim; print('numpy.random' in sys.modules)"
+    code = f"import sys, timebinsim; {code}; print('numpy.random' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_importing_the_package_does_not_import_numpy_random():
+    # numpy.random costs 15-20 ms of import, about a fifth of a short run's set-up
+    assert not imports_numpy_random("pass")
+
+
+def test_a_bb84_run_does_not_import_numpy_random():
+    # the channel draws read the counter-based stream, so numpy.random's memory is never mapped
+    assert not imports_numpy_random("timebinsim.simulate_bb84(timebinsim.Bb84Config(pulses=50))")

@@ -391,10 +391,11 @@ def test_a_wrong_correction_gives_sifted_errors(monkeypatch):
         stats = simulate_bb84(cfg)
         assert stats.errors > 0
         assert counts(stats) == reference_bb84(cfg)
-    # Haar draws at refresh 1, in blocks drawn per draw and in batches
-    for block in (qkd._BATCH_DRAWS - 1, qkd._BATCH_DRAWS, 64):
-        monkeypatch.setattr(qkd, "_BLOCK_PULSES", block)
-        cfg = Bb84Config(pulses=200, ensemble=HAAR, refresh_every=1, seed=4)
-        stats = simulate_bb84(cfg)
-        assert stats.errors > 0
-        assert counts(stats) == reference_bb84(cfg), block
+    # draws at refresh 1, in blocks of a single draw and in batches
+    for ensemble in (HAAR, GENERAL):
+        for block in (1, 2, 16, 64):
+            monkeypatch.setattr(qkd, "_BLOCK_PULSES", block)
+            cfg = Bb84Config(pulses=200, ensemble=ensemble, refresh_every=1, seed=4)
+            stats = simulate_bb84(cfg)
+            assert stats.errors > 0
+            assert counts(stats) == reference_bb84(cfg), (ensemble.kind, block)

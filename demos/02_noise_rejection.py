@@ -9,8 +9,6 @@ keeps exactly 3/4 of the probability, whatever the fiber did.
 
 import json
 
-import numpy as np
-
 from timebinsim import (
     Correction,
     DecoderSpec,
@@ -31,7 +29,7 @@ for (branch, tick), index in zip(table.windows.values(), table.slot_correction):
     if index >= 0:
         print(f"  {branch.name} bin {tick}: {list(Correction)[index].value}")
 
-qubit = random_qubit(np.random.default_rng(1))
+qubit = random_qubit(1)
 params = sample_noise(HAAR, seed=7)
 print(f"\nchannel draw: d1={params.d1:.3f} g1={params.g1:.3f} "
       f"d2={params.d2:.3f} g2={params.g2:.3f}")

@@ -5,8 +5,6 @@ last bin of each group are ever discarded, so the success probability
 climbs as (N-1)/N toward one.
 """
 
-import numpy as np
-
 from timebinsim import (
     DecoderSpec,
     HAAR,
@@ -22,7 +20,7 @@ print(f"{'stages':>6} {'bins/group':>10} {'wavepackets':>11} {'success':>18} {'(
 for stages in range(1, 6):
     encoder = encoder_spec_for(stages)
     table = correction_table(encoder, DecoderSpec())
-    qubit = random_qubit(np.random.default_rng(stages))
+    qubit = random_qubit(stages)
     params = sample_noise(HAAR, stages)
     success = total_success(analyze(table.transmit(qubit, params), table, qubit))
     n = encoder.bins_per_group

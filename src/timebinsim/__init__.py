@@ -14,7 +14,6 @@ from .state import (
     Polarization,
     QubitSpec,
     new_state,
-    random_qubit,
 )
 from .elements import BsConvention, ConventionError, Element
 from .noise import (
@@ -25,8 +24,10 @@ from .noise import (
     NoiseParams,
     apply_collective_noise,
     dephasing,
+    random_qubit,
     sample_coefficients,
     sample_noise,
+    sample_qubits,
 )
 from .circuits import (
     CHANNEL,

@@ -35,9 +35,9 @@ from .circuits import (
     check_compatible,
     run,
 )
-from .noise import (_MASK64, NoiseEnsemble, NoiseParams, _apply_collective_noise, _seeded_generators,
-                    sample_coefficients, sample_noise)
-from .state import H, V, PhotonState, QubitSpec, _max_or_nan, new_state, random_qubit
+from .noise import (_MASK64, NoiseEnsemble, NoiseParams, _apply_collective_noise, random_qubit,
+                    sample_coefficients, sample_noise, sample_qubits)
+from .state import H, V, PhotonState, QubitSpec, _max_or_nan, new_state
 
 
 class BranchId(Enum):
@@ -359,14 +359,14 @@ def success_probability_sweep(
 ) -> SweepResult:
     """Success probability over many channel draws; must pin to (N-1)/N.
 
-    Deterministic per seed: sample i uses noise seed ``seed + i``, which
-    must lie below 2**64, and a random input qubit from
-    ``default_rng((seed, i))``. Samples are evaluated in blocks from the
-    table's slot maps; a block's noise rows come from one
-    ``sample_coefficients`` call and its qubits from one generator set to
-    each (seed, i)'s state. Sample 0 is also drawn alone and interpreted; a
-    draw differing in any bit, or an ``analyze`` result differing by more
-    than 1e-12, raises RuntimeError.
+    Deterministic per seed: sample i draws its channel and its input qubit
+    from seed ``seed + i``, which must lie below 2**64, as
+    ``sample_noise(ensemble, seed + i)`` and ``random_qubit(seed + i)``.
+    Samples are evaluated in blocks from the table's slot maps; a block's
+    channels come from one ``sample_coefficients`` call and its qubits from
+    one ``sample_qubits`` call over the block's seeds. Sample 0 is also
+    drawn alone and interpreted; a draw differing in any bit, or an
+    ``analyze`` result differing by more than 1e-12, raises RuntimeError.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -377,7 +377,6 @@ def success_probability_sweep(
     target = (n - 1) / n
 
     per_block = max(1, _BLOCK_SLOTS // len(table.windows))
-    gen = np.random.default_rng(0)  # its state is set before every draw
     rows = []
     for start in range(0, samples, per_block):
         block = range(start, min(start + per_block, samples))
@@ -387,9 +386,8 @@ def success_probability_sweep(
             params = [sample_noise(ensemble, seed)] * len(block)
         else:
             params = [NoiseParams(*row) for row in coefficients.tolist()]
-        qubits = [random_qubit(rng) for rng in _seeded_generators(gen, [(seed, i) for i in block])]
-        success, worst = _evaluate(table, coefficients,
-                                   np.array([(q.alpha, q.beta) for q in qubits], dtype=complex))
+        qubits = sample_qubits(seeds)
+        success, worst = _evaluate(table, coefficients, qubits)
         rows += map(SweepSample, params, success.tolist(), worst.tolist())
         if start == 0:
             _check_sample_zero(table, ensemble, seed, params[0], qubits[0], rows[0])
@@ -399,14 +397,16 @@ def success_probability_sweep(
     return SweepResult(target=target, samples=tuple(rows), mean_success=mean, max_deviation=deviation)
 
 
-def _check_sample_zero(table, ensemble, seed: int, params, qubit, row: SweepSample):
-    """Raise RuntimeError unless sample 0's draws are, bit for bit, ``sample_noise``'s and
-    ``default_rng((seed, 0))``'s, and ``row`` agrees with the interpreter within 1e-12."""
-    alone = (sample_noise(ensemble, seed), random_qubit(np.random.default_rng((seed, 0))))
-    draws = [np.array([*p.coefficients(), q.alpha, q.beta]) for p, q in ((params, qubit), alone)]
-    if draws[0].tobytes() != draws[1].tobytes():
-        raise RuntimeError(f"batched draw {draws[0].tolist()} of sweep sample 0 differs from "
-                           f"the unbatched {draws[1].tolist()} for seed {seed}")
+def _check_sample_zero(table, ensemble, seed: int, params, qubit_row: np.ndarray, row: SweepSample):
+    """Raise RuntimeError unless sample 0's batched ``params`` and ``qubit_row`` are, bit for
+    bit, ``sample_noise``'s and ``random_qubit``'s for ``seed``, and ``row`` agrees with the
+    interpreter within 1e-12."""
+    channel, qubit = sample_noise(ensemble, seed), random_qubit(seed)
+    batched = np.array([*params.coefficients(), *qubit_row])
+    alone = np.array([*channel.coefficients(), qubit.alpha, qubit.beta])
+    if batched.tobytes() != alone.tobytes():
+        raise RuntimeError(f"batched draw {batched.tolist()} of sweep sample 0 differs from "
+                           f"the unbatched {alone.tolist()} for seed {seed}")
     reports = analyze(table.transmit(qubit, params), table, qubit)
     _check_with_interpreter(row.success, row.min_fidelity, reports, f"sweep sample 0 (seed {seed})")
 

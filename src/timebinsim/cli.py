@@ -31,9 +31,9 @@ from .circuits import (
     run,
 )
 from .elements import BsConvention
-from .noise import HAAR, NoiseEnsemble, apply_collective_noise, sample_noise
+from .noise import HAAR, NoiseEnsemble, apply_collective_noise, random_qubit, sample_noise
 from .qkd import Bb84Config, simulate_bb84
-from .state import PhotonState, QubitSpec, _max_or_nan, random_qubit, new_state
+from .state import PhotonState, QubitSpec, _max_or_nan, new_state
 
 
 def _write(out_path: str | None, text: str):
@@ -84,11 +84,10 @@ def _phase_class_deviation(actual: PhotonState, expected: PhotonState, spec: Enc
 
 
 def cmd_golden(args) -> int:
-    _check_seed(args.seed, 9)  # the noise-branches check draws seeds seed to seed + 9
+    _check_seed(args.seed, 9)  # the qubit reads seed, the noise-branches check seed to seed + 9
     convention = BsConvention(args.convention)
     spec = EncoderSpec(stages=1, convention=convention)
-    rng = np.random.default_rng(args.seed)
-    qubit = random_qubit(rng)
+    qubit = random_qubit(args.seed)
     failures = []
 
     def report(check: str, dev: float):
@@ -154,7 +153,7 @@ def _fmt(x: float) -> str:
 
 
 def _check_seed(seed: int, last: int = 0):
-    """Reject a seed whose channel seeds, ``seed`` to ``seed + last``, leave [0, 2**64)."""
+    """Reject a seed whose stream seeds, ``seed`` to ``seed + last``, leave [0, 2**64)."""
     if seed < 0:  # the library's own message would name no flag
         raise ValueError(f"--seed must be a non-negative integer, got {seed}")
     if seed + last >= 2**64:
@@ -162,7 +161,7 @@ def _check_seed(seed: int, last: int = 0):
 
 
 def cmd_sweep(args) -> int:
-    _check_seed(args.seed, args.samples - 1)
+    _check_seed(args.seed, args.samples - 1)  # sample i draws its channel and qubit from seed + i
     convention = BsConvention(args.convention)
     result = success_probability_sweep(
         encoder_spec_for(args.stages, convention), DecoderSpec(0, convention),
@@ -195,13 +194,13 @@ def cmd_sweep(args) -> int:
 def cmd_scaling(args) -> int:
     if not 1 <= args.max_stages <= 6:
         raise ValueError("--max-stages must be 1 to 6: scaling beyond 6 stages is not desk-scale")
-    _check_seed(args.seed, args.max_stages)  # row n draws its channel from seed + n
+    _check_seed(args.seed, args.max_stages)  # row n draws its channel and qubit from seed + n
     convention = BsConvention(args.convention)
     rows = []
     for stages in range(1, args.max_stages + 1):
         encoder = encoder_spec_for(stages, convention)
         table = correction_table(encoder, DecoderSpec(0, convention))
-        qubit = random_qubit(np.random.default_rng((args.seed, stages)))
+        qubit = random_qubit(args.seed + stages)
         params = sample_noise(HAAR, args.seed + stages)
         success, worst = (x.item() for x in _evaluate(
             table, np.array([params.coefficients()]), np.array([[qubit.alpha, qubit.beta]])))

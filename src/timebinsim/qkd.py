@@ -240,7 +240,7 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
     based uniforms (seed, pulse, draw index) it would draw alone, and each
     channel draw k reads the stream of channel seed
     ``_derived_seed(seed, k, domain=1)``, the same words alone or in a block.
-    No draw touches ``numpy.random``.
+    No draw uses numpy's own generators.
 
     A pulse is detected in the bin that holds its detection draw when the
     accepted bins, in link order, partition [0, total). ``_landing_bins``

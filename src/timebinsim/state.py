@@ -76,20 +76,6 @@ class QubitSpec:
         return QubitSpec(s, -s)
 
 
-def _unit_vector(rng) -> tuple[complex, complex]:
-    """A uniformly random unit vector in C^2, from four normals of a numpy Generator."""
-    raw = rng.normal(size=4)
-    a = complex(raw[0], raw[1])
-    b = complex(raw[2], raw[3])
-    n = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
-    return a / n, b / n
-
-
-def random_qubit(rng) -> QubitSpec:
-    """Draw a uniformly random pure qubit from a numpy Generator."""
-    return QubitSpec(*_unit_vector(rng))
-
-
 class PhotonState:
     """Finite map mode -> complex amplitude.
 

@@ -34,9 +34,9 @@ from timebinsim.circuits import (
     run,
 )
 from timebinsim.elements import BsConvention
-from timebinsim.noise import GENERAL, HAAR, apply_collective_noise, sample_noise
+from timebinsim.noise import GENERAL, HAAR, apply_collective_noise, random_qubit, sample_noise
 from timebinsim.qkd import Bb84Config, effective_efficiency, simulate_bb84
-from timebinsim.state import PhotonState, new_state, random_qubit
+from timebinsim.state import PhotonState, new_state
 
 SURF = BsConvention.SURFACE_PHASES
 SYM = BsConvention.SYMMETRIC
@@ -62,7 +62,7 @@ def test_criterion_1_encoder_train():
     enc = build_encoder(spec)
     worst = 0.0
     for seed in range(20):
-        q = random_qubit(np.random.default_rng(seed))
+        q = random_qubit(seed)
         out = run(enc, new_state(q))
         assert len(out) == 8
         worst = max(worst, out.max_deviation(encoded_train_closed_form(q, spec)))
@@ -75,7 +75,7 @@ def test_criterion_1_encoder_train():
 def test_criterion_2_noise_branch_structure():
     spec = EncoderSpec(1, 64, SURF)
     enc = build_encoder(spec)
-    q = random_qubit(np.random.default_rng(77))
+    q = random_qubit(77)
     sent = run(enc, new_state(q))
     worst = 0.0
     for seed in range(10):
@@ -94,7 +94,7 @@ def test_criterion_2_noise_branch_structure():
 
 
 def test_criterion_3_recombiner_output():
-    q = random_qubit(np.random.default_rng(5))
+    q = random_qubit(5)
     s2 = 1.0 / math.sqrt(2.0)
     group = PhotonState({("mid", "H", t): (q.alpha if t % 2 == 0 else q.beta) * s2 for t in range(4)})
     stage = Circuit("mid", recombiner_elements(SURF), ("sp", "lp"))
@@ -130,7 +130,7 @@ def test_criterion_5_scaling_law():
         enc = encoder_spec_for(stages, SYM)
         dec = DecoderSpec(0, SYM)
         table = correction_table(enc, dec)
-        q = random_qubit(np.random.default_rng(stages))
+        q = random_qubit(stages)
         params = sample_noise(HAAR, 40 + stages)
         sent = run(build_encoder(enc), new_state(q))
         noisy = apply_collective_noise(sent, params, CHANNEL)
@@ -157,11 +157,10 @@ def test_criterion_6_perfect_reconstruction_and_receiver_rule():
     enc_c = build_encoder(enc)
     dec_c = build_decoder(dec)
     worst = 1.0
-    rng = np.random.default_rng(2024)
     for i in range(100):
         params = sample_noise(HAAR if i % 2 else GENERAL, 500 + i)
-        for _ in range(100):
-            q = random_qubit(rng)
+        for j in range(100):
+            q = random_qubit(100 * i + j)
             noisy = apply_collective_noise(run(enc_c, new_state(q)), params, CHANNEL)
             reports = analyze(run(dec_c, noisy), table, q)
             for r in reports:
@@ -178,11 +177,10 @@ def test_criterion_7_branch_weights_and_edge_discards():
     table = correction_table(enc, dec)
     enc_c = build_encoder(enc)
     dec_c = build_decoder(dec)
-    rng = np.random.default_rng(31)
     worst = 0.0
     for i in range(200):
         params = sample_noise(GENERAL, 900 + i)
-        q = random_qubit(rng)
+        q = random_qubit(900 + i)
         noisy = apply_collective_noise(run(enc_c, new_state(q)), params, CHANNEL)
         for r in analyze(run(dec_c, noisy), table, q):
             weight = abs(params.coefficients()[BRANCHES.index(r.branch)]) ** 2 / 2
@@ -207,7 +205,7 @@ def test_criterion_8_norm_conservation_suite():
     enc_c = build_encoder(EncoderSpec(1, 64, SURF))
     worst_noise = 0.0
     for i in range(1000):
-        q = random_qubit(rng)
+        q = random_qubit(3000 + i)
         sent = run(enc_c, new_state(q))
         noisy = apply_collective_noise(sent, sample_noise(GENERAL, 3000 + i), CHANNEL)
         worst_noise = max(worst_noise, abs(noisy.norm_sq() - 1.0))

@@ -21,8 +21,8 @@ from timebinsim.analysis import (
 )
 from timebinsim.circuits import DecoderSpec, EncoderSpec, encoder_spec_for
 from timebinsim.elements import BsConvention
-from timebinsim.noise import GENERAL, HAAR, IDENTITY, NoiseParams, dephasing, sample_noise
-from timebinsim.state import PhotonState, QubitSpec, random_qubit
+from timebinsim.noise import GENERAL, HAAR, IDENTITY, NoiseParams, dephasing, random_qubit, sample_noise
+from timebinsim.state import PhotonState, QubitSpec
 
 SYM = BsConvention.SYMMETRIC
 SURF = BsConvention.SURFACE_PHASES
@@ -67,9 +67,8 @@ def test_corrections_verified_by_fidelity_oracle(convention):
     enc = EncoderSpec(1, 64, convention)
     dec = DecoderSpec(0, convention)
     table = correction_table(enc, dec)
-    rng = np.random.default_rng(0)
     for seed in range(10):
-        q = random_qubit(rng)
+        q = random_qubit(seed)
         reports = analyze(table.transmit(q, sample_noise(HAAR, seed)), table, q)
         for r in reports:
             for b in r.accepted:
@@ -80,7 +79,7 @@ def test_analyze_haar_total_three_quarters():
     enc = EncoderSpec(1, 64, SURF)
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
-    q = random_qubit(np.random.default_rng(1))
+    q = random_qubit(1)
     reports = analyze(table.transmit(q, sample_noise(HAAR, 3)), table, q)
     assert total_success(reports) == pytest.approx(0.75, abs=1e-9)
 
@@ -89,7 +88,7 @@ def test_analyze_identity_noise_branch_structure():
     enc = EncoderSpec(1, 64, SURF)
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
-    q = random_qubit(np.random.default_rng(2))
+    q = random_qubit(2)
     reports = {r.branch: r for r in analyze(table.transmit(q, NoiseParams.identity()), table, q)}
     assert reports[BranchId.P1V].accepted == () and reports[BranchId.P1V].discarded == ()
     assert reports[BranchId.P2H].accepted == () and reports[BranchId.P2H].discarded == ()
@@ -102,7 +101,7 @@ def test_analyze_dephasing_kills_cross_branches():
     enc = EncoderSpec(1, 64, SURF)
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
-    q = random_qubit(np.random.default_rng(3))
+    q = random_qubit(3)
     params = sample_noise(dephasing(1.3), 0)
     reports = {r.branch: r for r in analyze(table.transmit(q, params), table, q)}
     assert reports[BranchId.P1V].accepted == ()
@@ -114,7 +113,7 @@ def test_analyze_three_stage_cascade():
     enc = encoder_spec_for(3, SYM)
     dec = DecoderSpec(0, SYM)
     table = correction_table(enc, dec)
-    q = random_qubit(np.random.default_rng(4))
+    q = random_qubit(4)
     reports = analyze(table.transmit(q, sample_noise(HAAR, 7)), table, q)
     assert total_success(reports) == pytest.approx(15.0 / 16.0, abs=1e-9)
 
@@ -123,9 +122,8 @@ def test_branch_weights_and_discards():
     enc = EncoderSpec(1, 64, SURF)
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
-    rng = np.random.default_rng(5)
     for seed in range(25):
-        q = random_qubit(rng)
+        q = random_qubit(seed)
         params = sample_noise(GENERAL, seed)
         reports = analyze(table.transmit(q, params), table, q)
         for r in reports:
@@ -140,7 +138,7 @@ def test_branch_offsets_with_v_delay():
     enc = EncoderSpec(1, 64, SURF)
     dec = DecoderSpec(16, SURF)
     table = correction_table(enc, dec)
-    q = random_qubit(np.random.default_rng(6))
+    q = random_qubit(6)
     reports = {r.branch: r for r in analyze(table.transmit(q, sample_noise(HAAR, 1)), table, q)}
     assert reports[BranchId.P1H].offset == 0
     assert reports[BranchId.P1V].offset == 16
@@ -157,10 +155,9 @@ def test_windows_partition_the_decoded_state(stages, convention, v_delayed):
     n = enc.bins_per_group
     table = correction_table(enc, DecoderSpec(n + 1 if v_delayed else 0, convention))
     assert len(table.windows) == 4 * (n + 1)  # no two windows share a slot
-    rng = np.random.default_rng(stages)
     for ensemble in (HAAR, GENERAL):
         for seed in range(3):
-            q = random_qubit(rng)
+            q = random_qubit(10 * stages + seed)
             out = table.transmit(q, sample_noise(ensemble, seed))
             reports = analyze(out, table, q)
             # every amplitude of the decoded state is in exactly one window
@@ -204,7 +201,7 @@ def test_report_serialization():
     enc = EncoderSpec(1, 64, SURF)
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
-    q = random_qubit(np.random.default_rng(8))
+    q = random_qubit(8)
     reports = analyze(table.transmit(q, sample_noise(HAAR, 2)), table, q)
     r = reports[0]
     d = r.to_dict()
@@ -220,7 +217,7 @@ def test_all_branches_present_in_order():
     enc = EncoderSpec(1, 64, SURF)
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
-    q = random_qubit(np.random.default_rng(9))
+    q = random_qubit(9)
     reports = analyze(table.transmit(q, NoiseParams.identity()), table, q)
     assert tuple(r.branch for r in reports) == BRANCHES
 
@@ -236,7 +233,7 @@ def test_sweep_samples_equal_the_interpreter(ensemble, convention, stages):
     table = correction_table(enc, dec)
     for i, sample in enumerate(result.samples):
         assert sample.params == sample_noise(ensemble, seed + i)
-        q = random_qubit(np.random.default_rng((seed, i)))
+        q = random_qubit(seed + i)
         reports = analyze(table.transmit(q, sample.params), table, q)
         assert abs(sample.success - total_success(reports)) <= 1e-14
         assert abs(sample.min_fidelity - min_fidelity(reports)) <= 1e-14
@@ -248,9 +245,8 @@ def test_slot_maps_reproduce_every_interpreted_slot(convention, stages):
     # success and fidelity cannot see a slot given the wrong branch; its amplitudes can
     enc, dec = encoder_spec_for(stages, convention), DecoderSpec(0, convention)
     table = correction_table(enc, dec)
-    rng = np.random.default_rng(stages)
     for seed in range(3):
-        params, q = sample_noise(GENERAL, seed), random_qubit(rng)
+        params, q = sample_noise(GENERAL, seed), random_qubit(10 * stages + seed)
         slots = _slots(table.transmit(q, params), table.windows)
         compiled = np.array(params.coefficients())[table.slot_branch, None] \
             * (table.slot_maps @ np.array([q.alpha, q.beta]))
@@ -304,9 +300,13 @@ def test_a_wrong_slot_map_stops_the_sweep(monkeypatch):
 
 def test_a_wrong_correction_shows_as_fidelity_loss(monkeypatch):
     # the one record of a slot's Pauli feeds both the slot maps and the
-    # interpreter, so they agree, and the wrong Pauli costs fidelity
+    # interpreter, so they agree, and the wrong Pauli costs fidelity: I <-> X
+    # and Z <-> Y each leave X on the slot, whose fidelity is |<q|X|q>|^2
     result = _mutated_sweep(_flip_first_correction, monkeypatch)
-    assert max(s.min_fidelity for s in result.samples) < 0.6
+    for i, sample in enumerate(result.samples):
+        q = random_qubit(12 + i)
+        assert sample.min_fidelity == pytest.approx((2 * (q.alpha.conjugate() * q.beta).real) ** 2, abs=1e-12)
+    assert max(s.min_fidelity for s in result.samples) < 0.99
 
 
 @pytest.mark.parametrize("stages", [1, 3])
@@ -321,14 +321,14 @@ def test_an_uncorrectable_bin_raises_the_derivation_error(convention, stages, mo
 # -- references for the batched sweep draws and the table's derivation ---------
 
 def reference_sweep(enc, dec, ensemble, samples, seed):
-    """The sweep as a per-sample loop: one sample_noise and one default_rng per sample."""
+    """The sweep as a per-sample loop: one sample_noise and one random_qubit per sample."""
     table = correction_table(enc, dec)
     per_block = max(1, analysis._BLOCK_SLOTS // len(table.windows))
     rows = []
     for start in range(0, samples, per_block):
         block = range(start, min(start + per_block, samples))
         params = [sample_noise(ensemble, seed + i) for i in block]
-        qubits = [random_qubit(np.random.default_rng((seed, i))) for i in block]
+        qubits = [random_qubit(seed + i) for i in block]
         success, worst = analysis._evaluate(
             table, np.array([p.coefficients() for p in params], dtype=complex),
             np.array([(q.alpha, q.beta) for q in qubits], dtype=complex))
@@ -350,13 +350,12 @@ def test_sweep_equals_the_per_sample_loop_bit_for_bit(ensemble, samples, seed):
 
 @pytest.mark.parametrize("stream", ["noise", "qubit"])
 def test_a_batch_shifted_by_one_row_stops_the_sweep(stream, monkeypatch):
-    # the noise rows come from one channel-stream batch, the qubits from seeded generators
+    # the noise rows and the qubits come from one batch each over the block's seeds
     if stream == "noise":
         monkeypatch.setattr(analysis, "sample_coefficients",
                             lambda ensemble, seeds: noise.sample_coefficients(ensemble, np.roll(seeds, -1)))
     else:
-        monkeypatch.setattr(analysis, "_seeded_generators",
-                            lambda gen, entropies: noise._seeded_generators(gen, entropies[1:] + entropies[:1]))
+        monkeypatch.setattr(analysis, "sample_qubits", lambda seeds: noise.sample_qubits(np.roll(seeds, -1)))
     with pytest.raises(RuntimeError, match="batched draw .* of sweep sample 0 .* for seed 5"):
         success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), GENERAL, 3, 5)
 

@@ -22,8 +22,8 @@ from timebinsim.circuits import (
     run,
 )
 from timebinsim.elements import BsConvention, ConventionError, Element
-from timebinsim.noise import NoiseParams, sample_noise, HAAR
-from timebinsim.state import PhotonState, QubitSpec, new_state, random_qubit
+from timebinsim.noise import NoiseParams, random_qubit, sample_noise, HAAR
+from timebinsim.state import PhotonState, QubitSpec, new_state
 
 SYM = BsConvention.SYMMETRIC
 SURF = BsConvention.SURFACE_PHASES
@@ -42,7 +42,7 @@ def expected_train(q, spec):
 
 
 def test_encoder_surface_reproduces_eight_mode_train():
-    q = random_qubit(np.random.default_rng(0))
+    q = random_qubit(0)
     spec = EncoderSpec(1, 64, SURF)
     out = run(build_encoder(spec), new_state(q))
     assert len(out) == 8
@@ -60,7 +60,7 @@ def test_encoder_basis_input_four_modes():
 
 
 def test_encoder_two_stage_sixteen_modes():
-    q = random_qubit(np.random.default_rng(1))
+    q = random_qubit(1)
     spec = EncoderSpec(2, 64, SURF)
     out = run(build_encoder(spec), new_state(q))
     assert len(out) == 16
@@ -73,7 +73,7 @@ def test_encoder_two_stage_sixteen_modes():
 
 @pytest.mark.parametrize("stages", [1, 2, 3, 4])
 def test_encoder_mode_count_and_magnitude_law(stages):
-    q = random_qubit(np.random.default_rng(stages))
+    q = random_qubit(stages)
     spec = encoder_spec_for(stages, SURF)
     out = run(build_encoder(spec), new_state(q))
     n = spec.bins_per_group
@@ -89,7 +89,7 @@ def test_encoder_mode_count_and_magnitude_law(stages):
 def test_encoder_group_separation():
     for stages in (1, 2, 3):
         spec = encoder_spec_for(stages, SYM)
-        out = run(build_encoder(spec), new_state(random_qubit(np.random.default_rng(9))))
+        out = run(build_encoder(spec), new_state(random_qubit(9)))
         h_ticks = [t for (ch, pol, t) in out.amplitudes if pol.value == "H"]
         v_ticks = [t for (ch, pol, t) in out.amplitudes if pol.value == "V"]
         assert max(h_ticks) + 1 < min(v_ticks)
@@ -98,11 +98,10 @@ def test_encoder_group_separation():
 def test_conventions_agree_per_group_and_parity():
     # one phase per (group, bin parity) relates the two conventions; the
     # delayed group's parity classes genuinely differ by a sign
-    rng = np.random.default_rng(2)
     spec_surf = EncoderSpec(1, 64, SURF)
     spec_sym = EncoderSpec(1, 64, SYM)
-    for _ in range(20):
-        q = random_qubit(rng)
+    for seed in range(20):
+        q = random_qubit(seed)
         a = run(build_encoder(spec_surf), new_state(q))
         b = run(build_encoder(spec_sym), new_state(q))
         for pol, offset in (("H", 0), ("V", 64)):
@@ -151,19 +150,19 @@ def test_run_is_linear():
 
 def test_empty_circuit_is_identity():
     c = Circuit("in", (), ("in",))
-    s = new_state(random_qubit(np.random.default_rng(4)))
+    s = new_state(random_qubit(4))
     assert run(c, s).max_deviation(s) == 0.0
 
 
 def test_pipeline_identity_noise_norm_one():
-    q = random_qubit(np.random.default_rng(5))
+    q = random_qubit(5)
     table = correction_table(EncoderSpec(1, 64, SURF), DecoderSpec(0, SURF))
     out = table.transmit(q, NoiseParams.identity())
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_recombiner_two_arm_state():
-    q = random_qubit(np.random.default_rng(6))
+    q = random_qubit(6)
     group = PhotonState({("mid", "H", t): (q.alpha if t % 2 == 0 else q.beta) * S2 for t in range(4)})
     stage = Circuit("mid", recombiner_elements(SURF), ("sp", "lp"))
     out = run(stage, group)
@@ -176,7 +175,7 @@ def test_recombiner_two_arm_state():
 
 
 def test_pure_v_group_exits_alt_port_only():
-    q = random_qubit(np.random.default_rng(7))
+    q = random_qubit(7)
     group = PhotonState({(CHANNEL, "V", t): (q.alpha if t % 2 == 0 else q.beta) * S2 for t in range(4)})
     out = run(build_decoder(DecoderSpec(0, SURF)), group)
     ports = {m[0] for m in out.amplitudes}
@@ -185,7 +184,7 @@ def test_pure_v_group_exits_alt_port_only():
 
 
 def test_identity_pipeline_interior_bin_reconstructs_qubit():
-    q = random_qubit(np.random.default_rng(8))
+    q = random_qubit(8)
     table = correction_table(EncoderSpec(1, 64, SURF), DecoderSpec(0, SURF))
     out = table.transmit(q, NoiseParams.identity())
     sub = restrict(out, "5", (1, 1))
@@ -295,14 +294,14 @@ def test_run_propagates_convention_violation():
 
 
 def test_transmit_checks_compatibility():
-    q = random_qubit(np.random.default_rng(10))
+    q = random_qubit(10)
     with pytest.raises(CircuitError):
         correction_table(EncoderSpec(1, 64), DecoderSpec(2)).transmit(q, NoiseParams.identity())
 
 
 def test_scaling_norm_conserved_with_haar_noise():
     for stages in (1, 2, 3):
-        q = random_qubit(np.random.default_rng(stages))
+        q = random_qubit(stages)
         table = correction_table(encoder_spec_for(stages, SYM), DecoderSpec(0, SYM))
         out = table.transmit(q, sample_noise(HAAR, stages))
         assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)

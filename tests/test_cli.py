@@ -2,18 +2,17 @@ import dataclasses
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import timebinsim
-from timebinsim import cli
+from timebinsim import cli, noise
 from timebinsim.analysis import analyze, correction_table, total_success
 from timebinsim.cli import main
 from timebinsim.circfile import print_circuit
 from timebinsim.circuits import DecoderSpec, EncoderSpec, build_encoder, encoder_spec_for
 from timebinsim.elements import BsConvention
-from timebinsim.noise import HAAR, sample_noise
-from timebinsim.state import PhotonState, random_qubit
+from timebinsim.noise import HAAR, random_qubit, sample_noise
+from timebinsim.state import PhotonState
 
 
 def test_golden_default_passes(capsys):
@@ -154,26 +153,33 @@ def test_scaling_rows_equal_the_interpreter(convention, seed, tmp_path):
     for row in json.loads(out.read_text()):
         stages = row["stages"]
         table = correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))
-        q = random_qubit(np.random.default_rng((seed, stages)))
+        q = random_qubit(seed + stages)
         params = sample_noise(HAAR, seed + stages)
         assert abs(row["success"] - total_success(analyze(table.transmit(q, params), table, q))) <= 1e-12
 
 
 
 def test_scaling_draws_its_qubit_from_another_stream_than_its_channel(monkeypatch, tmp_path):
-    # row n's qubit starts where default_rng((seed, n)) does, not default_rng(seed + n)
-    starts = []
+    # row n reads its qubit from words 7-9 of seed + n, and its channel from none of them
+    channel_reads, qubit_reads = [], []  # (seed, word index) pairs read through noise._words
+    words = noise._words
 
-    def recording_random_qubit(rng):
-        starts.append(rng.bit_generator.state)
-        return random_qubit(rng)
+    def recording_words(seed, count, first=1):
+        channel_reads.extend((seed, k) for k in range(first, first + count))
+        return words(seed, count, first)
 
+    def recording_random_qubit(seed):
+        start = len(channel_reads)
+        qubit = random_qubit(seed)
+        qubit_reads.append(channel_reads[start:])
+        del channel_reads[start:]
+        return qubit
+
+    monkeypatch.setattr(noise, "_words", recording_words)
     monkeypatch.setattr(cli, "random_qubit", recording_random_qubit)
     assert main(["scaling", "--max-stages", "3", "--seed", "2", "--out", str(tmp_path / "s.csv")]) == 0
-    assert len(starts) == 3
-    for stages, start in enumerate(starts, start=1):
-        assert start == np.random.default_rng((2, stages)).bit_generator.state
-        assert start != np.random.default_rng(2 + stages).bit_generator.state
+    assert qubit_reads == [[(2 + n, 7), (2 + n, 8), (2 + n, 9)] for n in (1, 2, 3)]
+    assert sorted(channel_reads) == [(2 + n, k) for n in (1, 2, 3) for k in range(1, 5)]
 
 
 def test_a_wrong_stage_1_slot_map_stops_scaling(monkeypatch, tmp_path):

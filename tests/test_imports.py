@@ -1,10 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or numpy.random.
 
 The repository has no linter; this is the one check of pyflakes' F401 it
 needs, written with ``ast``. The re-exports of ``__init__.py`` are the
 package's API, and an import whose line carries ``# noqa: F401`` is kept
 on purpose (``qkd`` binds ``run`` and ``_apply_collective_noise`` for the
-per-pulse oracle and the benchmark's tracer).
+per-pulse oracle and the benchmark's tracer). Every draw reads the
+counter-based stream of ``noise._words``, so no module refers to
+``numpy.random``, whose import costs 15-20 ms and its memory.
 """
 
 import ast
@@ -14,7 +16,8 @@ import pytest
 
 import timebinsim
 
-MODULES = sorted(p for p in Path(timebinsim.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(timebinsim.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -58,3 +61,34 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def numpy_random_references(source: str) -> list[int]:
+    """The lines of ``source`` that import ``numpy.random`` or read ``np.random`` or ``numpy.random``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name == "numpy.random" or alias.name.startswith("numpy.random.")
+                      for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module == "numpy.random" or module.startswith("numpy.random.") or (
+                module == "numpy" and any(alias.name == "random" for alias in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        if hit:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_check_finds_numpy_random():
+    source = ("import numpy as np\nimport numpy.random\nfrom numpy.random import default_rng\n"
+              "from numpy import random, pi\nimport random\n"
+              "x = np.random.default_rng(0)\ny = numpy.random\nz = np.pi + random.random()\n")
+    assert numpy_random_references(source) == [2, 3, 4, 6, 7]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_refers_to_numpy_random(path):
+    assert numpy_random_references(path.read_text(encoding="utf-8")) == []

@@ -17,10 +17,12 @@ from timebinsim.noise import (
     NoiseParams,
     apply_collective_noise,
     dephasing,
+    random_qubit,
     sample_coefficients,
     sample_noise,
+    sample_qubits,
 )
-from timebinsim.state import PhotonState, random_qubit
+from timebinsim.state import PhotonState
 from timebinsim.circuits import apply
 from timebinsim.elements import Element
 
@@ -92,8 +94,7 @@ def test_identity_noise_is_identity():
 def test_four_branch_structure():
     # the collectively rotated train splits into four groups whose
     # coefficients are exactly the channel parameters over two
-    rng = np.random.default_rng(1)
-    q = random_qubit(rng)
+    q = random_qubit(1)
     for seed in range(5):
         p = sample_noise(HAAR, seed)
         noisy = apply_collective_noise(two_group_train(q.alpha, q.beta), p, "chan")
@@ -260,6 +261,10 @@ def test_batch_rejects_seeds_outside_64_bits(seed):
     for ensemble in ENSEMBLES:
         with pytest.raises(ValueError, match="2\\*\\*64"):
             sample_coefficients(ensemble, [5, seed])
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        random_qubit(seed)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        sample_qubits([5, seed])
     assert sample_noise(IDENTITY, seed) == NoiseParams.identity()  # reads no seed
 
 
@@ -291,27 +296,54 @@ def test_a_batch_that_is_not_sample_noise_stops_the_run(monkeypatch):
             qkd.simulate_bb84(qkd.Bb84Config(pulses=100, ensemble=ensemble, seed=2))
 
 
-# -- the seeded generators of the sweep ----------------------------------------
+# -- the qubit stream and its batch --------------------------------------------
 
-SEEDING_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64]
-SEEDING_INDICES = [0, 1, 2**32 - 1, 2**32]
-
-
-def test_seeded_generators_start_where_default_rng_does():
-    entropies = SEEDING_SEEDS + [(s, i) for s in SEEDING_SEEDS for i in SEEDING_INDICES]
-    # one to four 32-bit words take the vectorized hash; five, as in (2**64, 2**32), fall back
-    assert {len(noise._entropy_words(e)) for e in entropies} == {1, 2, 3, 4, 5}
-    gen = np.random.default_rng(0)
-    for entropy, rng in zip(entropies, noise._seeded_generators(gen, entropies), strict=True):
-        reference = np.random.default_rng(entropy)
-        assert rng.bit_generator.state == reference.bit_generator.state, entropy
-        assert rng.normal(size=4).tobytes() == reference.normal(size=4).tobytes(), entropy
+def reference_qubits(seeds):
+    return np.array([(q.alpha, q.beta) for q in map(random_qubit, map(int, seeds))], dtype=complex)
 
 
-@pytest.mark.parametrize("entropy", [-1, (3, -1), (-2**64, 0)])
-def test_seeded_generators_reject_a_negative_seed(entropy):
-    with pytest.raises(ValueError, match="non-negative"):
-        list(noise._seeded_generators(np.random.default_rng(0), [5, entropy]))
+def test_batched_qubits_are_random_qubit_bit_for_bit():
+    expected = reference_qubits(BATCH_SEEDS)
+    for seeds in (BATCH_SEEDS, np.array(BATCH_SEEDS, dtype=np.uint64)):
+        batch = sample_qubits(seeds)
+        assert batch.shape == (len(BATCH_SEEDS), 2) and batch.dtype == complex
+        assert batch.tobytes() == expected.tobytes()
+
+
+def test_qubits_are_uniform_on_the_bloch_sphere():
+    alpha, beta = sample_qubits(np.arange(DRAWS, dtype=np.uint64)).T
+    assert np.abs(np.abs(alpha) ** 2 + np.abs(beta) ** 2 - 1.0).max() <= 1e-12
+    # Haar-random pure states: |alpha|^2 and the relative phase are independent and uniform
+    assert ks_distance(np.abs(alpha) ** 2) < KS_CRITICAL
+    assert ks_distance(np.angle(beta / alpha) / (2 * math.pi) % 1.0) < KS_CRITICAL
+
+
+def test_a_qubit_reads_words_no_channel_reads(monkeypatch):
+    reads = []
+    original = noise._words
+
+    def recording_words(seed, count, first=1):
+        reads.append(range(first, first + count))
+        return original(seed, count, first)
+
+    monkeypatch.setattr(noise, "_words", recording_words)
+    random_qubit(5)
+    sample_qubits([5, 6])
+    assert reads == [range(7, 10)] * 2
+    assert max(noise._WORDS.values()) < 7
+
+
+def test_a_qubit_batch_rejects_an_unnormalized_draw_with_its_index(monkeypatch):
+    original = noise._words
+    for word in range(3):
+        def nan_word(seed, count, first=1, word=word):
+            words = original(seed, count, first).copy()
+            words[word, 3] = np.nan
+            return words
+
+        monkeypatch.setattr(noise, "_words", nan_word)
+        with pytest.raises(ValueError, match="qubit draw 3 "):
+            sample_qubits(BATCH_SEEDS[:20])
 
 
 def imports_numpy_random(code: str) -> bool:
@@ -320,7 +352,7 @@ def imports_numpy_random(code: str) -> bool:
     code = f"import sys, timebinsim; {code}; print('numpy.random' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip() == "True"
+    return out.stdout.split()[-1] == "True"  # after whatever ``code`` prints
 
 
 def test_importing_the_package_does_not_import_numpy_random():
@@ -331,3 +363,10 @@ def test_importing_the_package_does_not_import_numpy_random():
 def test_a_bb84_run_does_not_import_numpy_random():
     # the channel draws read the counter-based stream, so numpy.random's memory is never mapped
     assert not imports_numpy_random("timebinsim.simulate_bb84(timebinsim.Bb84Config(pulses=50))")
+
+
+@pytest.mark.parametrize("argv", [["golden"], ["sweep", "--samples", "5", "--ensemble", "general"],
+                                  ["scaling", "--max-stages", "2"]], ids=lambda argv: argv[0])
+def test_a_cli_run_does_not_import_numpy_random(argv):
+    # the qubits read the channel stream too
+    assert not imports_numpy_random(f"import timebinsim.cli; assert timebinsim.cli.main({argv!r}) == 0")

@@ -6,8 +6,8 @@ import pytest
 from _oracles import fidelity_with_qubit, qubit_amplitudes, random_state, restrict, superpose
 from timebinsim.circuits import Circuit, run
 from timebinsim.elements import Element
-from timebinsim.state import (Mode, PhotonState, Polarization, QubitSpec, _max_or_nan, new_state,
-                              random_qubit)
+from timebinsim.noise import random_qubit
+from timebinsim.state import Mode, PhotonState, Polarization, QubitSpec, _max_or_nan, new_state
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -59,20 +59,19 @@ def test_norm_sq_basis():
 
 
 def test_norm_sq_eight_bin_train():
-    rng = np.random.default_rng(1)
-    q = random_qubit(rng)
+    q = random_qubit(1)
     assert eight_bin_train(q.alpha, q.beta).norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_restrict_single_bin_of_train():
-    q = random_qubit(np.random.default_rng(2))
+    q = random_qubit(2)
     sub = restrict(eight_bin_train(q.alpha, q.beta), "1", (0, 0))
     assert len(sub) == 1
     assert sub.amplitude("1", "H", 0) == pytest.approx(q.alpha / 2)
 
 
 def test_restrict_unused_channel_is_empty():
-    q = random_qubit(np.random.default_rng(3))
+    q = random_qubit(3)
     sub = restrict(eight_bin_train(q.alpha, q.beta), "nowhere", (0, 100))
     assert len(sub) == 0
     assert sub.norm_sq() == 0.0
@@ -81,7 +80,7 @@ def test_restrict_unused_channel_is_empty():
 def test_restrict_recombined_bin_has_common_scalar():
     # the overlapped output state carries (alpha, beta) at interior bins,
     # both amplitudes scaled by the same 1/sqrt(2)
-    q = random_qubit(np.random.default_rng(4))
+    q = random_qubit(4)
     a, b = q.alpha, q.beta
     out = PhotonState({
         ("5", "V", 0): a * S2, ("5", "V", 1): b * S2, ("5", "V", 2): a * S2, ("5", "V", 3): b * S2,
@@ -104,7 +103,7 @@ def test_restrict_partition_completeness():
 
 
 def test_fidelity_proportional_state():
-    q = random_qubit(np.random.default_rng(6))
+    q = random_qubit(6)
     s = PhotonState({("x", "H", 3): q.alpha / 2, ("x", "V", 3): q.beta / 2})
     assert fidelity_with_qubit(s, q) == pytest.approx(1.0, abs=1e-12)
 
@@ -122,8 +121,8 @@ def test_fidelity_swapped_basis_state():
 
 def test_fidelity_global_phase_invariance():
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        q = random_qubit(rng)
+    for seed in range(50):
+        q = random_qubit(seed)
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
         scale = rng.uniform(0.1, 2.0)
         s = PhotonState({("x", "H", 0): q.alpha, ("x", "V", 0): q.beta})

@@ -21,7 +21,7 @@ qubit = QubitSpec(0.6, 0.8j)
 print(f"sending a = {qubit.alpha}, b = {qubit.beta}\n")
 
 for convention in BsConvention:
-    spec = EncoderSpec(stages=1, dT=64, convention=convention)
+    spec = EncoderSpec(stages=1, convention=convention)
     train = run(build_encoder(spec), new_state(qubit))
     print(f"--- {convention.value} convention: {len(train)} modes, "
           f"norm^2 = {train.norm_sq():.12f} ---")
@@ -30,7 +30,7 @@ for convention in BsConvention:
 
 # the two conventions give the same train up to bin-parity phases, so all
 # probabilities (and everything the receiver measures) agree
-spec = EncoderSpec(stages=2, dT=64)
+spec = EncoderSpec(stages=2)
 train = run(build_encoder(spec), new_state(qubit))
 mags = sorted({round(abs(a), 12) for a in train.amplitudes.values()})
 print(f"two cascade stages: {len(train)} wavepackets, magnitudes {mags}")

@@ -22,7 +22,7 @@ from timebinsim import (
 )
 
 # the table is the link: its circuits, its detection windows and its corrections
-table = correction_table(EncoderSpec(stages=1, dT=64), DecoderSpec())
+table = correction_table(EncoderSpec(stages=1), DecoderSpec())
 
 print("derived corrections (branch, bin) -> Pauli:")
 for (branch, tick), index in zip(table.windows.values(), table.slot_correction):

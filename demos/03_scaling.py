@@ -7,10 +7,10 @@ climbs as (N-1)/N toward one.
 
 from timebinsim import (
     DecoderSpec,
+    EncoderSpec,
     HAAR,
     analyze,
     correction_table,
-    encoder_spec_for,
     random_qubit,
     sample_noise,
     total_success,
@@ -18,7 +18,7 @@ from timebinsim import (
 
 print(f"{'stages':>6} {'bins/group':>10} {'wavepackets':>11} {'success':>18} {'(N-1)/N':>18}")
 for stages in range(1, 6):
-    encoder = encoder_spec_for(stages)
+    encoder = EncoderSpec(stages)
     table = correction_table(encoder, DecoderSpec())
     qubit = random_qubit(stages)
     params = sample_noise(HAAR, stages)

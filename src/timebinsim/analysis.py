@@ -80,23 +80,16 @@ class Correction(Enum):
 
 
 _CORRECTIONS = tuple(Correction)
-#: The matrix of each of ``_CORRECTIONS``.
-_PAULI_MATRICES = np.array([
-    [[1, 0], [0, 1]],
-    [[0, 1], [1, 0]],
-    [[1, 0], [0, -1]],
-    [[0, -1j], [1j, 0]],
-], dtype=complex)
+#: The matrix of each of ``_CORRECTIONS``: ``apply`` to H and V at once, the columns of the
+#: identity, gives its rows.
+_PAULI_MATRICES = np.array([c.apply(*np.eye(2, dtype=int)) for c in _CORRECTIONS], dtype=complex)
 
-#: Per Pauli of ``_CORRECTIONS``, three sums of a map's entries (m00, m01, m10, m11) that
-#: vanish when the map is proportional to it: I and Z vanish off the diagonal, X and Y on
-#: it, and the other pair is equal (I, X) or opposite (Z, Y).
-_PAULI_TESTS = np.array([
-    [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, -1]],
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, -1, 0]],
-    [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]],
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0]],
-], dtype=complex).reshape(-1, 4).T
+#: Per Pauli P of ``_CORRECTIONS``, the coefficients on a map's entries (m00, m01, m10, m11)
+#: of (P m)01, (P m)10 and (P m)00 - (P m)11, one column each, read off P times each unit
+#: map. All three vanish when P m is proportional to the identity.
+_UNIT_IMAGES = np.einsum("pij,kjl->kpil", _PAULI_MATRICES, np.eye(4).reshape(4, 2, 2))
+_PAULI_TESTS = np.stack([_UNIT_IMAGES[..., 0, 1], _UNIT_IMAGES[..., 1, 0],
+                         _UNIT_IMAGES[..., 0, 0] - _UNIT_IMAGES[..., 1, 1]], axis=-1).reshape(4, -1)
 
 
 class CorrectionDerivationError(RuntimeError):

@@ -26,7 +26,6 @@ from .circuits import (
     DecoderSpec,
     EncoderSpec,
     build_encoder,
-    encoder_spec_for,
     recombiner_elements,
     run,
 )
@@ -164,7 +163,7 @@ def cmd_sweep(args) -> int:
     _check_seed(args.seed, args.samples - 1)  # sample i draws its channel and qubit from seed + i
     convention = BsConvention(args.convention)
     result = success_probability_sweep(
-        encoder_spec_for(args.stages, convention), DecoderSpec(0, convention),
+        EncoderSpec(args.stages, convention), DecoderSpec(0, convention),
         NoiseEnsemble(args.ensemble, args.phi), args.samples, args.seed,
     )
 
@@ -198,7 +197,7 @@ def cmd_scaling(args) -> int:
     convention = BsConvention(args.convention)
     rows = []
     for stages in range(1, args.max_stages + 1):
-        encoder = encoder_spec_for(stages, convention)
+        encoder = EncoderSpec(stages, convention)
         table = correction_table(encoder, DecoderSpec(0, convention))
         qubit = random_qubit(args.seed + stages)
         params = sample_noise(HAAR, args.seed + stages)
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="success probability over random channel draws")
     common(p)
     p.add_argument("--stages", type=int, default=1)
-    p.add_argument("--ensemble", choices=("identity", "haar", "general", "dephasing"), default="haar")
+    p.add_argument("--ensemble", choices=NoiseEnsemble._KINDS, default="haar")
     p.add_argument("--phi", type=float, default=math.pi, help="dephasing angle")
     p.add_argument("--samples", type=int, default=100)
     p.set_defaults(func=cmd_sweep)
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--pulses", type=int, default=10000)
     p.add_argument("--stages", type=int, default=1)
-    p.add_argument("--ensemble", choices=("identity", "haar", "general", "dephasing"), default="haar")
+    p.add_argument("--ensemble", choices=NoiseEnsemble._KINDS, default="haar")
     p.add_argument("--phi", type=float, default=math.pi)
     p.add_argument("--eta", type=float, default=1.0, help="baseline detector efficiency")
     p.add_argument("--refresh", type=int, default=1, help="pulses per fresh channel draw")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _CORRECTIONS, _PAULI_MATRICES, CorrectionTable, correction_table
-from .circuits import DecoderSpec, encoder_spec_for
+from .circuits import DecoderSpec, EncoderSpec
 # ``run`` and ``_apply_collective_noise`` are the per-pulse chain that the
 # compiled map stands for; they stay bound here for the reference oracle in
 # tests/test_qkd.py and for the benchmark's tracer (perfbench/spans.py).
@@ -59,7 +59,7 @@ class Bb84Config:
             raise ValueError("detector efficiency must be in (0, 1]")
         if not 0 <= self.seed <= _MASK64:  # the draws read the seed modulo 2**64
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        encoder_spec_for(self.stages, self.convention)  # rejects a cascade too deep to run
+        EncoderSpec(self.stages, self.convention)  # rejects a cascade too deep to run
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
     within a few ulps of a bin or branch edge, a chance under 1e-13 per
     pulse at stage 4.
     """
-    encoder = encoder_spec_for(cfg.stages, cfg.convention)
+    encoder = EncoderSpec(cfg.stages, cfg.convention)
     table = correction_table(encoder, DecoderSpec(0, cfg.convention))
     branch, maps = _compile_link(table)
     # corrected amplitudes per (Alice's state 2 * basis + bit, bin, H/V) at unit coefficient

@@ -29,7 +29,6 @@ from timebinsim.circuits import (
     EncoderSpec,
     build_decoder,
     build_encoder,
-    encoder_spec_for,
     recombiner_elements,
     run,
 )
@@ -58,7 +57,7 @@ def encoded_train_closed_form(q, spec):
 
 def test_criterion_1_encoder_train():
     start = time.perf_counter()
-    spec = EncoderSpec(1, 64, SURF)
+    spec = EncoderSpec(1, SURF)
     enc = build_encoder(spec)
     worst = 0.0
     for seed in range(20):
@@ -73,7 +72,7 @@ def test_criterion_1_encoder_train():
 
 
 def test_criterion_2_noise_branch_structure():
-    spec = EncoderSpec(1, 64, SURF)
+    spec = EncoderSpec(1, SURF)
     enc = build_encoder(spec)
     q = random_qubit(77)
     sent = run(enc, new_state(q))
@@ -111,7 +110,7 @@ def test_criterion_3_recombiner_output():
 
 def test_criterion_4_success_three_quarters_per_sample():
     start = time.perf_counter()
-    enc = EncoderSpec(1, 64, SURF)
+    enc = EncoderSpec(1, SURF)
     dec = DecoderSpec(0, SURF)
     worst = 0.0
     for ensemble in (HAAR, GENERAL):
@@ -127,7 +126,7 @@ def test_criterion_4_success_three_quarters_per_sample():
 def test_criterion_5_scaling_law():
     devs = []
     for stages in range(1, 6):
-        enc = encoder_spec_for(stages, SYM)
+        enc = EncoderSpec(stages, SYM)
         dec = DecoderSpec(0, SYM)
         table = correction_table(enc, dec)
         q = random_qubit(stages)
@@ -142,7 +141,7 @@ def test_criterion_5_scaling_law():
 
 
 def test_criterion_6_perfect_reconstruction_and_receiver_rule():
-    enc = EncoderSpec(1, 64, SURF)
+    enc = EncoderSpec(1, SURF)
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
 
@@ -172,7 +171,7 @@ def test_criterion_6_perfect_reconstruction_and_receiver_rule():
 
 
 def test_criterion_7_branch_weights_and_edge_discards():
-    enc = EncoderSpec(1, 64, SURF)
+    enc = EncoderSpec(1, SURF)
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
     enc_c = build_encoder(enc)
@@ -202,7 +201,7 @@ def test_criterion_8_norm_conservation_suite():
         worst = max(worst, abs(out.norm_sq() - s.norm_sq()))
     assert worst < 1e-12
 
-    enc_c = build_encoder(EncoderSpec(1, 64, SURF))
+    enc_c = build_encoder(EncoderSpec(1, SURF))
     worst_noise = 0.0
     for i in range(1000):
         q = random_qubit(3000 + i)

@@ -19,7 +19,7 @@ from timebinsim.analysis import (
     success_probability_sweep,
     total_success,
 )
-from timebinsim.circuits import DecoderSpec, EncoderSpec, encoder_spec_for
+from timebinsim.circuits import DecoderSpec, EncoderSpec
 from timebinsim.elements import BsConvention
 from timebinsim.noise import GENERAL, HAAR, IDENTITY, NoiseParams, dephasing, random_qubit, sample_noise
 from timebinsim.state import PhotonState, QubitSpec
@@ -35,6 +35,11 @@ I, X, Z, Y = (
 )
 
 
+#: I, X, Z and Y in ``Correction`` order, written out apart from the tables that
+#: ``analysis`` derives from ``Correction.apply``.
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, -1j], [1j, 0]]])
+
+
 def table_of(branch, table):
     return {t: list(Correction)[i] for (b, t), i in zip(table.windows.values(), table.slot_correction)
             if b is branch and i >= 0}
@@ -43,7 +48,7 @@ def table_of(branch, table):
 def test_surface_table_matches_receiver_rule():
     # interior odd bins need nothing on the main port, the middle-parity
     # bins need the bit flip; the alt port is the mirror image
-    table = correction_table(EncoderSpec(1, 64, SURF), DecoderSpec(0, SURF))
+    table = correction_table(EncoderSpec(1, SURF), DecoderSpec(0, SURF))
     assert table_of(BranchId.P1H, table) == {1: I, 2: X, 3: I}
     assert table_of(BranchId.P1V, table) == {1: X, 2: I, 3: X}
     assert table_of(BranchId.P2H, table) == {1: I, 2: X, 3: I}
@@ -53,7 +58,7 @@ def test_surface_table_matches_receiver_rule():
 def test_symmetric_table_derived_consistently():
     # the unitary convention leaves a sign on the undelayed group that the
     # derivation must absorb into phase-carrying corrections
-    table = correction_table(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM))
+    table = correction_table(EncoderSpec(1, SYM), DecoderSpec(0, SYM))
     assert table_of(BranchId.P1H, table) == {1: Z, 2: Y, 3: Z}
     assert table_of(BranchId.P1V, table) == {1: Y, 2: Z, 3: Y}
     assert table_of(BranchId.P2H, table) == {1: I, 2: X, 3: I}
@@ -64,7 +69,7 @@ def test_symmetric_table_derived_consistently():
 def test_corrections_verified_by_fidelity_oracle(convention):
     # independent check of the derived tables: whatever Pauli the table
     # claims must take every accepted bin back to the sent qubit
-    enc = EncoderSpec(1, 64, convention)
+    enc = EncoderSpec(1, convention)
     dec = DecoderSpec(0, convention)
     table = correction_table(enc, dec)
     for seed in range(10):
@@ -76,7 +81,7 @@ def test_corrections_verified_by_fidelity_oracle(convention):
 
 
 def test_analyze_haar_total_three_quarters():
-    enc = EncoderSpec(1, 64, SURF)
+    enc = EncoderSpec(1, SURF)
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
     q = random_qubit(1)
@@ -85,7 +90,7 @@ def test_analyze_haar_total_three_quarters():
 
 
 def test_analyze_identity_noise_branch_structure():
-    enc = EncoderSpec(1, 64, SURF)
+    enc = EncoderSpec(1, SURF)
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
     q = random_qubit(2)
@@ -98,7 +103,7 @@ def test_analyze_identity_noise_branch_structure():
 
 
 def test_analyze_dephasing_kills_cross_branches():
-    enc = EncoderSpec(1, 64, SURF)
+    enc = EncoderSpec(1, SURF)
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
     q = random_qubit(3)
@@ -110,7 +115,7 @@ def test_analyze_dephasing_kills_cross_branches():
 
 
 def test_analyze_three_stage_cascade():
-    enc = encoder_spec_for(3, SYM)
+    enc = EncoderSpec(3, SYM)
     dec = DecoderSpec(0, SYM)
     table = correction_table(enc, dec)
     q = random_qubit(4)
@@ -119,7 +124,7 @@ def test_analyze_three_stage_cascade():
 
 
 def test_branch_weights_and_discards():
-    enc = EncoderSpec(1, 64, SURF)
+    enc = EncoderSpec(1, SURF)
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
     for seed in range(25):
@@ -135,7 +140,7 @@ def test_branch_weights_and_discards():
 
 
 def test_branch_offsets_with_v_delay():
-    enc = EncoderSpec(1, 64, SURF)
+    enc = EncoderSpec(1, SURF)
     dec = DecoderSpec(16, SURF)
     table = correction_table(enc, dec)
     q = random_qubit(6)
@@ -151,7 +156,7 @@ def test_branch_offsets_with_v_delay():
 @pytest.mark.parametrize("convention", [SYM, SURF])
 @pytest.mark.parametrize("v_delayed", [False, True])
 def test_windows_partition_the_decoded_state(stages, convention, v_delayed):
-    enc = encoder_spec_for(stages, convention)
+    enc = EncoderSpec(stages, convention)
     n = enc.bins_per_group
     table = correction_table(enc, DecoderSpec(n + 1 if v_delayed else 0, convention))
     assert len(table.windows) == 4 * (n + 1)  # no two windows share a slot
@@ -165,7 +170,7 @@ def test_windows_partition_the_decoded_state(stages, convention, v_delayed):
 
 
 def test_success_independent_of_noise_sample_by_sample():
-    enc = EncoderSpec(1, 64, SYM)
+    enc = EncoderSpec(1, SYM)
     dec = DecoderSpec(0, SYM)
     for ensemble in (HAAR, GENERAL):
         result = success_probability_sweep(enc, dec, ensemble, samples=100, seed=17)
@@ -174,7 +179,7 @@ def test_success_independent_of_noise_sample_by_sample():
 
 
 def test_sweep_is_deterministic():
-    enc = EncoderSpec(1, 64, SYM)
+    enc = EncoderSpec(1, SYM)
     dec = DecoderSpec(0, SYM)
     a = success_probability_sweep(enc, dec, HAAR, samples=10, seed=9)
     b = success_probability_sweep(enc, dec, HAAR, samples=10, seed=9)
@@ -184,21 +189,21 @@ def test_sweep_is_deterministic():
 
 
 def test_sweep_identity_single_sample():
-    result = success_probability_sweep(EncoderSpec(1, 64, SURF), DecoderSpec(0, SURF), IDENTITY, 1, 0)
+    result = success_probability_sweep(EncoderSpec(1, SURF), DecoderSpec(0, SURF), IDENTITY, 1, 0)
     assert result.samples[0].success == pytest.approx(0.75, abs=1e-12)
     assert result.samples[0].min_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sweep_general_ensemble_three_stages():
     result = success_probability_sweep(
-        encoder_spec_for(3, SYM), DecoderSpec(0, SYM), GENERAL, samples=100, seed=2
+        EncoderSpec(3, SYM), DecoderSpec(0, SYM), GENERAL, samples=100, seed=2
     )
     assert result.target == pytest.approx(0.9375)
     assert result.max_deviation < 1e-9
 
 
 def test_report_serialization():
-    enc = EncoderSpec(1, 64, SURF)
+    enc = EncoderSpec(1, SURF)
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
     q = random_qubit(8)
@@ -214,7 +219,7 @@ def test_report_serialization():
 
 
 def test_all_branches_present_in_order():
-    enc = EncoderSpec(1, 64, SURF)
+    enc = EncoderSpec(1, SURF)
     dec = DecoderSpec(0, SURF)
     table = correction_table(enc, dec)
     q = random_qubit(9)
@@ -227,7 +232,7 @@ def test_all_branches_present_in_order():
 @pytest.mark.parametrize("ensemble", [IDENTITY, HAAR, GENERAL, dephasing(1.0)], ids=lambda e: e.kind)
 def test_sweep_samples_equal_the_interpreter(ensemble, convention, stages):
     # every sample evaluated from the slot maps against analyze() of the interpreted state
-    enc, dec = encoder_spec_for(stages, convention), DecoderSpec(0, convention)
+    enc, dec = EncoderSpec(stages, convention), DecoderSpec(0, convention)
     seed = 31 * stages
     result = success_probability_sweep(enc, dec, ensemble, samples=4, seed=seed)
     table = correction_table(enc, dec)
@@ -243,7 +248,7 @@ def test_sweep_samples_equal_the_interpreter(ensemble, convention, stages):
 @pytest.mark.parametrize("convention", [SYM, SURF])
 def test_slot_maps_reproduce_every_interpreted_slot(convention, stages):
     # success and fidelity cannot see a slot given the wrong branch; its amplitudes can
-    enc, dec = encoder_spec_for(stages, convention), DecoderSpec(0, convention)
+    enc, dec = EncoderSpec(stages, convention), DecoderSpec(0, convention)
     table = correction_table(enc, dec)
     for seed in range(3):
         params, q = sample_noise(GENERAL, seed), random_qubit(10 * stages + seed)
@@ -255,7 +260,7 @@ def test_slot_maps_reproduce_every_interpreted_slot(convention, stages):
 
 
 def test_table_slot_arrays_are_read_only():
-    table = correction_table(encoder_spec_for(2, SYM), DecoderSpec(0, SYM))
+    table = correction_table(EncoderSpec(2, SYM), DecoderSpec(0, SYM))
     arrays = (table.slot_maps, table.slot_branch, table.slot_correction)
     assert len(table.slot_maps) == len(table.slot_branch) == len(table.slot_correction) == len(table.windows)
     # n - 1 accepted interior bins of n + 1 slots per branch, n = 8
@@ -268,7 +273,7 @@ def test_table_slot_arrays_are_read_only():
 @pytest.mark.parametrize("cap", [1, 40, 100, 250])
 def test_sweep_blocks_do_not_change_the_samples(cap, monkeypatch):
     # 20 slots at stage 1: blocks of 1, 2, 5 and 12 samples straddle the 30 samples
-    enc, dec = EncoderSpec(1, 64, SURF), DecoderSpec(0, SURF)
+    enc, dec = EncoderSpec(1, SURF), DecoderSpec(0, SURF)
     whole = success_probability_sweep(enc, dec, GENERAL, samples=30, seed=6)
     monkeypatch.setattr(analysis, "_BLOCK_SLOTS", cap)
     assert success_probability_sweep(enc, dec, GENERAL, samples=30, seed=6) == whole
@@ -277,7 +282,7 @@ def test_sweep_blocks_do_not_change_the_samples(cap, monkeypatch):
 def _mutated_sweep(mutate, monkeypatch):
     original = analysis.correction_table
     monkeypatch.setattr(analysis, "correction_table", lambda enc, dec: mutate(original(enc, dec)))
-    return success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), HAAR, samples=3, seed=12)
+    return success_probability_sweep(EncoderSpec(1, SYM), DecoderSpec(0, SYM), HAAR, samples=3, seed=12)
 
 
 def _scale_first_accepted_map(table):
@@ -315,7 +320,7 @@ def test_an_uncorrectable_bin_raises_the_derivation_error(convention, stages, mo
     # without the decoder's arm phase no single Pauli undoes the first interior bin
     monkeypatch.setattr(circuits, "DECODER_ARM_PHASE", 0.0)
     with pytest.raises(CorrectionDerivationError, match="bin 1 of branch P1H"):
-        correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))
+        correction_table(EncoderSpec(stages, convention), DecoderSpec(0, convention))
 
 
 # -- references for the batched sweep draws and the table's derivation ---------
@@ -343,7 +348,7 @@ def reference_sweep(enc, dec, ensemble, samples, seed):
 @pytest.mark.parametrize("ensemble", [IDENTITY, HAAR, GENERAL, dephasing(1.0)], ids=lambda e: e.kind)
 def test_sweep_equals_the_per_sample_loop_bit_for_bit(ensemble, samples, seed):
     # 60 samples make a block at stage 3; 2**64 - 130 is the top seed whose 130 noise seeds fit in 64 bits
-    enc, dec = encoder_spec_for(3, SYM), DecoderSpec(0, SYM)
+    enc, dec = EncoderSpec(3, SYM), DecoderSpec(0, SYM)
     result = success_probability_sweep(enc, dec, ensemble, samples, seed)
     assert repr(result) == repr(reference_sweep(enc, dec, ensemble, samples, seed))
 
@@ -357,20 +362,20 @@ def test_a_batch_shifted_by_one_row_stops_the_sweep(stream, monkeypatch):
     else:
         monkeypatch.setattr(analysis, "sample_qubits", lambda seeds: noise.sample_qubits(np.roll(seeds, -1)))
     with pytest.raises(RuntimeError, match="batched draw .* of sweep sample 0 .* for seed 5"):
-        success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), GENERAL, 3, 5)
+        success_probability_sweep(EncoderSpec(1, SYM), DecoderSpec(0, SYM), GENERAL, 3, 5)
 
 
 def test_a_negative_seed_raises_on_the_batched_path():
     for ensemble in (IDENTITY, GENERAL):
         with pytest.raises(ValueError, match="non-negative"):
-            success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), ensemble, 3, -1)
+            success_probability_sweep(EncoderSpec(1, SYM), DecoderSpec(0, SYM), ensemble, 3, -1)
 
 
 def test_noise_seeds_past_64_bits_raise_before_any_draw():
     for ensemble in (IDENTITY, GENERAL):
-        success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), ensemble, 3, 2**64 - 3)
+        success_probability_sweep(EncoderSpec(1, SYM), DecoderSpec(0, SYM), ensemble, 3, 2**64 - 3)
         with pytest.raises(ValueError, match=r"seed \+ 2 below 2\*\*64, got 18446744073709551614"):
-            success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), ensemble, 3, 2**64 - 2)
+            success_probability_sweep(EncoderSpec(1, SYM), DecoderSpec(0, SYM), ensemble, 3, 2**64 - 2)
 
 
 def oracle_slot_maps(table):
@@ -389,12 +394,23 @@ def oracle_slot_correction(maps):
     full_rank = singulars[:, -1] > 1e-9 * singulars[:, 0]
     scale = 1e-9 * np.abs(maps).max(axis=(1, 2))
     found = np.full(len(maps), -1)
-    for index, pauli in enumerate(analysis._PAULI_MATRICES):
+    for index, pauli in enumerate(PAULIS):
         r = pauli @ maps
         match = (np.abs(r[:, 0, 1]) <= scale) & (np.abs(r[:, 1, 0]) <= scale) \
             & (np.abs(r[:, 0, 0] - r[:, 1, 1]) <= scale)
         found[match & (found < 0)] = index
     return np.where(full_rank, found, -1)
+
+
+def test_the_derived_pauli_tables_match_the_written_out_paulis():
+    assert np.array_equal(analysis._PAULI_MATRICES, PAULIS)
+    # every Pauli at a random complex scale, and maps that are no Pauli
+    rng = np.random.default_rng(7)
+    scales = rng.standard_normal((50, 1, 1)) + 1j * rng.standard_normal((50, 1, 1))
+    maps = np.concatenate([(scales * pauli) for pauli in PAULIS]
+                          + [rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))])
+    found = analysis._find_paulis(maps)
+    assert found.tolist() == oracle_slot_correction(maps).tolist() == np.repeat([0, 1, 2, 3, -1], 50).tolist()
 
 
 def within_rounding_of_the_oracle(maps, oracle):
@@ -420,7 +436,7 @@ def test_a_negated_decoder_tap_breaks_the_oracle_bound(monkeypatch):
 
     analysis_decode = analysis._decode
     monkeypatch.setattr(analysis, "_decode", negate_first_tap)
-    table = correction_table(encoder_spec_for(2, SYM), DecoderSpec(0, SYM))
+    table = correction_table(EncoderSpec(2, SYM), DecoderSpec(0, SYM))
     assert not within_rounding_of_the_oracle(table.slot_maps, oracle_slot_maps(table))
 
 
@@ -428,7 +444,7 @@ def test_a_negated_decoder_tap_breaks_the_oracle_bound(monkeypatch):
 @pytest.mark.parametrize("convention", [SYM, SURF])
 @pytest.mark.parametrize("v_delayed", [False, True])
 def test_table_derivation_equals_the_oracle(stages, convention, v_delayed):
-    enc = encoder_spec_for(stages, convention)
+    enc = EncoderSpec(stages, convention)
     table = correction_table(enc, DecoderSpec(enc.bins_per_group + 1 if v_delayed else 0, convention))
     maps = oracle_slot_maps(table)
     assert within_rounding_of_the_oracle(table.slot_maps, maps)
@@ -451,6 +467,6 @@ def test_a_nan_success_after_the_first_sample_makes_max_deviation_nan(monkeypatc
         return success, worst
 
     monkeypatch.setattr(analysis, "_evaluate", nan_in_row_2)
-    result = success_probability_sweep(EncoderSpec(1, 64, SYM), DecoderSpec(0, SYM), HAAR, 5, 1)
+    result = success_probability_sweep(EncoderSpec(1, SYM), DecoderSpec(0, SYM), HAAR, 5, 1)
     assert np.isnan(result.samples[2].success)
     assert np.isnan(result.max_deviation)

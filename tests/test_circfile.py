@@ -37,7 +37,7 @@ def test_shipped_decoder_matches_builder():
 
 def test_print_parse_fixed_point_on_builders():
     for circuit in (
-        build_encoder(EncoderSpec(2, 64, BsConvention.SURFACE_PHASES)),
+        build_encoder(EncoderSpec(2, BsConvention.SURFACE_PHASES)),
         build_decoder(DecoderSpec(16, BsConvention.SYMMETRIC)),
     ):
         text = print_circuit(circuit)

@@ -16,7 +16,6 @@ from timebinsim.circuits import (
     build_decoder,
     build_encoder,
     check_compatible,
-    encoder_spec_for,
     physical_splitter_elements,
     recombiner_elements,
     run,
@@ -43,14 +42,14 @@ def expected_train(q, spec):
 
 def test_encoder_surface_reproduces_eight_mode_train():
     q = random_qubit(0)
-    spec = EncoderSpec(1, 64, SURF)
+    spec = EncoderSpec(1, SURF)
     out = run(build_encoder(spec), new_state(q))
     assert len(out) == 8
     assert out.max_deviation(expected_train(q, spec)) < 1e-12
 
 
 def test_encoder_basis_input_four_modes():
-    spec = EncoderSpec(1, 64, SURF)
+    spec = EncoderSpec(1, SURF)
     out = run(build_encoder(spec), new_state(QubitSpec(1, 0)))
     assert len(out) == 4
     for ch, pol, tick in ((CHANNEL, "H", 0), (CHANNEL, "H", 2)):
@@ -61,7 +60,7 @@ def test_encoder_basis_input_four_modes():
 
 def test_encoder_two_stage_sixteen_modes():
     q = random_qubit(1)
-    spec = EncoderSpec(2, 64, SURF)
+    spec = EncoderSpec(2, SURF)
     out = run(build_encoder(spec), new_state(q))
     assert len(out) == 16
     assert out.max_deviation(expected_train(q, spec)) < 1e-12
@@ -74,7 +73,7 @@ def test_encoder_two_stage_sixteen_modes():
 @pytest.mark.parametrize("stages", [1, 2, 3, 4])
 def test_encoder_mode_count_and_magnitude_law(stages):
     q = random_qubit(stages)
-    spec = encoder_spec_for(stages, SURF)
+    spec = EncoderSpec(stages, SURF)
     out = run(build_encoder(spec), new_state(q))
     n = spec.bins_per_group
     assert len(out) == 2 * n == 2 ** (stages + 2)
@@ -88,7 +87,7 @@ def test_encoder_mode_count_and_magnitude_law(stages):
 
 def test_encoder_group_separation():
     for stages in (1, 2, 3):
-        spec = encoder_spec_for(stages, SYM)
+        spec = EncoderSpec(stages, SYM)
         out = run(build_encoder(spec), new_state(random_qubit(9)))
         h_ticks = [t for (ch, pol, t) in out.amplitudes if pol.value == "H"]
         v_ticks = [t for (ch, pol, t) in out.amplitudes if pol.value == "V"]
@@ -98,8 +97,8 @@ def test_encoder_group_separation():
 def test_conventions_agree_per_group_and_parity():
     # one phase per (group, bin parity) relates the two conventions; the
     # delayed group's parity classes genuinely differ by a sign
-    spec_surf = EncoderSpec(1, 64, SURF)
-    spec_sym = EncoderSpec(1, 64, SYM)
+    spec_surf = EncoderSpec(1, SURF)
+    spec_sym = EncoderSpec(1, SYM)
     for seed in range(20):
         q = random_qubit(seed)
         a = run(build_encoder(spec_surf), new_state(q))
@@ -119,7 +118,7 @@ def test_conventions_agree_per_group_and_parity():
 
 def test_run_is_linear():
     rng = np.random.default_rng(3)
-    enc = build_encoder(EncoderSpec(1, 64, SYM))
+    enc = build_encoder(EncoderSpec(1, SYM))
     for _ in range(10):
         s1 = random_state(rng, ["in"], range(0, 3), modes=4)
         s2 = random_state(rng, ["in"], range(0, 3), modes=4)
@@ -156,7 +155,7 @@ def test_empty_circuit_is_identity():
 
 def test_pipeline_identity_noise_norm_one():
     q = random_qubit(5)
-    table = correction_table(EncoderSpec(1, 64, SURF), DecoderSpec(0, SURF))
+    table = correction_table(EncoderSpec(1, SURF), DecoderSpec(0, SURF))
     out = table.transmit(q, NoiseParams.identity())
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
@@ -185,7 +184,7 @@ def test_pure_v_group_exits_alt_port_only():
 
 def test_identity_pipeline_interior_bin_reconstructs_qubit():
     q = random_qubit(8)
-    table = correction_table(EncoderSpec(1, 64, SURF), DecoderSpec(0, SURF))
+    table = correction_table(EncoderSpec(1, SURF), DecoderSpec(0, SURF))
     out = table.transmit(q, NoiseParams.identity())
     sub = restrict(out, "5", (1, 1))
     assert fidelity_with_qubit(sub, q) == pytest.approx(1.0, abs=1e-12)
@@ -203,7 +202,7 @@ def _exact(state: PhotonState) -> list:
 @pytest.mark.parametrize("v_delayed", [False, True])
 def test_the_decoder_is_time_invariant(stages, convention, v_delayed):
     # correction_table reads every slot off the decoder's response at tick 0
-    enc = encoder_spec_for(stages, convention)
+    enc = EncoderSpec(stages, convention)
     decoder = build_decoder(DecoderSpec(enc.bins_per_group + 1 if v_delayed else 0, convention))
     for pol in ("H", "V"):
         response = run(decoder, PhotonState({(CHANNEL, pol, 0): 1.0}))
@@ -230,27 +229,30 @@ def test_physical_splitter_leaks_half():
 def test_encoder_spec_validation():
     with pytest.raises(CircuitError):
         EncoderSpec(stages=0)
-    with pytest.raises(CircuitError):
-        EncoderSpec(stages=1, dT=7)  # needs >= 2N = 8
-    with pytest.raises(CircuitError):
-        EncoderSpec(stages=5, dT=64)  # default too small at this depth
-    assert encoder_spec_for(5).dT == 128
     # too deep to run; only rejected depths are tried
     assert MAX_STAGES >= 6  # the deepest cascade the scaling table uses
     for stages in (MAX_STAGES + 1, 40):
         with pytest.raises(CircuitError, match="exceed"):
-            encoder_spec_for(stages)
-        with pytest.raises(CircuitError, match="exceed"):
-            EncoderSpec(stages, dT=2 ** (stages + 2))
+            EncoderSpec(stages)
+
+
+def test_every_supported_depth_derives_its_group_delay():
+    for stages in range(1, MAX_STAGES + 1):
+        assert EncoderSpec(stages).dT == max(64, 2 ** (stages + 2))
+
+
+def test_a_group_delay_in_the_convention_slot_is_rejected():
+    with pytest.raises(CircuitError, match="convention must be a BsConvention, got 64"):
+        EncoderSpec(1, 64)
 
 
 def test_decoder_spec_validation():
     with pytest.raises(CircuitError):
         DecoderSpec(dTprime=-1)
-    check_compatible(EncoderSpec(1, 64), DecoderSpec(0))
-    check_compatible(EncoderSpec(1, 64), DecoderSpec(16))
+    check_compatible(EncoderSpec(1), DecoderSpec(0))
+    check_compatible(EncoderSpec(1), DecoderSpec(16))
     with pytest.raises(CircuitError):
-        check_compatible(EncoderSpec(1, 64), DecoderSpec(3))
+        check_compatible(EncoderSpec(1), DecoderSpec(3))
 
 
 def test_circuit_wiring_validation():
@@ -271,7 +273,7 @@ def test_circuit_wiring_validation():
 
 
 def test_run_rejects_unsupported_input():
-    c = build_encoder(EncoderSpec(1, 64, SYM))
+    c = build_encoder(EncoderSpec(1, SYM))
     with pytest.raises(CircuitError):
         run(c, PhotonState({("elsewhere", "H", 0): 1.0}))
 
@@ -296,12 +298,12 @@ def test_run_propagates_convention_violation():
 def test_transmit_checks_compatibility():
     q = random_qubit(10)
     with pytest.raises(CircuitError):
-        correction_table(EncoderSpec(1, 64), DecoderSpec(2)).transmit(q, NoiseParams.identity())
+        correction_table(EncoderSpec(1), DecoderSpec(2)).transmit(q, NoiseParams.identity())
 
 
 def test_scaling_norm_conserved_with_haar_noise():
     for stages in (1, 2, 3):
         q = random_qubit(stages)
-        table = correction_table(encoder_spec_for(stages, SYM), DecoderSpec(0, SYM))
+        table = correction_table(EncoderSpec(stages, SYM), DecoderSpec(0, SYM))
         out = table.transmit(q, sample_noise(HAAR, stages))
         assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)

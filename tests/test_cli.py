@@ -9,7 +9,7 @@ from timebinsim import cli, noise
 from timebinsim.analysis import analyze, correction_table, total_success
 from timebinsim.cli import main
 from timebinsim.circfile import print_circuit
-from timebinsim.circuits import DecoderSpec, EncoderSpec, build_encoder, encoder_spec_for
+from timebinsim.circuits import DecoderSpec, EncoderSpec, build_encoder
 from timebinsim.elements import BsConvention
 from timebinsim.noise import HAAR, random_qubit, sample_noise
 from timebinsim.state import PhotonState
@@ -27,7 +27,7 @@ def test_golden_symmetric_passes(capsys):
 
 
 def test_golden_corrupted_circuit_names_encode_check(tmp_path, capsys):
-    circuit = build_encoder(EncoderSpec(1, 64, BsConvention.SURFACE_PHASES))
+    circuit = build_encoder(EncoderSpec(1, BsConvention.SURFACE_PHASES))
     text = print_circuit(circuit).replace("phi=4.71238898038469", "phi=4.0")
     bad = tmp_path / "bad.circ"
     bad.write_text(text)
@@ -152,7 +152,7 @@ def test_scaling_rows_equal_the_interpreter(convention, seed, tmp_path):
                  "--format", "json", "--out", str(out)]) == 0
     for row in json.loads(out.read_text()):
         stages = row["stages"]
-        table = correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))
+        table = correction_table(EncoderSpec(stages, convention), DecoderSpec(0, convention))
         q = random_qubit(seed + stages)
         params = sample_noise(HAAR, seed + stages)
         assert abs(row["success"] - total_success(analyze(table.transmit(q, params), table, q))) <= 1e-12

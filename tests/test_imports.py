@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses, or numpy.random.
+"""No module of the package imports a name it never uses, or numpy.random,
+and no module of the repository sets the encoder's group delay.
 
 The repository has no linter; this is the one check of pyflakes' F401 it
 needs, written with ``ast``. The re-exports of ``__init__.py`` are the
@@ -6,7 +7,10 @@ package's API, and an import whose line carries ``# noqa: F401`` is kept
 on purpose (``qkd`` binds ``run`` and ``_apply_collective_noise`` for the
 per-pulse oracle and the benchmark's tracer). Every draw reads the
 counter-based stream of ``noise._words``, so no module refers to
-``numpy.random``, whose import costs 15-20 ms and its memory.
+``numpy.random``, whose import costs 15-20 ms and its memory. The group
+delay ``EncoderSpec.dT`` is derived from the depth; ``encoder_spec_for`` is
+an alias kept only for the benchmark, so nothing under ``src/``, ``tests/``
+or ``demos/`` calls it.
 """
 
 import ast
@@ -18,6 +22,8 @@ import timebinsim
 
 PACKAGE = sorted(Path(timebinsim.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(p for folder in ("src", "tests", "demos") for p in (ROOT / folder).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -92,3 +98,29 @@ def test_the_check_finds_numpy_random():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_module_refers_to_numpy_random(path):
     assert numpy_random_references(path.read_text(encoding="utf-8")) == []
+
+
+def group_delay_settings(source: str) -> list[int]:
+    """The lines of ``source`` that call ``encoder_spec_for`` or pass ``dT=`` to ``EncoderSpec``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "encoder_spec_for" or (
+                    name == "EncoderSpec" and any(keyword.arg == "dT" for keyword in node.keywords)):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_check_finds_a_set_group_delay():
+    source = ("from timebinsim import EncoderSpec, circuits, encoder_spec_for\n"
+              "a = encoder_spec_for(3)\nb = circuits.encoder_spec_for(3, None)\n"
+              "c = EncoderSpec(1, dT=64)\nd = circuits.EncoderSpec(stages=2, dT=8)\n"
+              "e = EncoderSpec(1, convention=None)\nf = encoder_spec_for\ng = dict(dT=64)\n")
+    assert group_delay_settings(source) == [2, 3, 4, 5]
+
+
+def test_no_module_sets_the_group_delay():
+    assert len(SOURCES) > 20  # the three folders were found
+    found = {str(p.relative_to(ROOT)): group_delay_settings(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert {path: lines for path, lines in found.items() if lines} == {}

@@ -6,7 +6,7 @@ import pytest
 from _oracles import detection_events, sequential_bins
 from timebinsim import qkd
 from timebinsim.analysis import _PAULI_MATRICES, Correction, correction_table
-from timebinsim.circuits import CHANNEL, CircuitError, DecoderSpec, encoder_spec_for
+from timebinsim.circuits import CHANNEL, CircuitError, DecoderSpec, EncoderSpec
 from timebinsim.elements import _INV_SQRT2, BsConvention
 from timebinsim.noise import GENERAL, HAAR, IDENTITY, dephasing, random_qubit, sample_noise
 from timebinsim.qkd import Bb84Config, Bb84Stats, effective_efficiency, simulate_bb84
@@ -19,7 +19,7 @@ def reference_bb84(cfg: Bb84Config) -> tuple[int, int, int]:
     The per-pulse loop the batched ``simulate_bb84`` replaces, kept as its
     oracle; it looks ``_gate_map`` up on the module, as the batched path does.
     """
-    encoder = encoder_spec_for(cfg.stages, cfg.convention)
+    encoder = EncoderSpec(cfg.stages, cfg.convention)
     decoder = DecoderSpec(0, cfg.convention)
     table = correction_table(encoder, decoder)
     gates = qkd._gate_map(table, encoder, decoder)
@@ -168,7 +168,7 @@ def test_stats_accessors_and_csv():
 @pytest.mark.parametrize("stages", [1, 3])
 @pytest.mark.parametrize("convention", list(BsConvention))
 def test_compiled_bins_match_the_interpreter(convention, stages):
-    encoder, decoder = encoder_spec_for(stages, convention), DecoderSpec(0, convention)
+    encoder, decoder = EncoderSpec(stages, convention), DecoderSpec(0, convention)
     table = correction_table(encoder, decoder)
     branch, maps = qkd._compile_link(table)
     gates = qkd._gate_map(table, encoder, decoder)
@@ -186,25 +186,10 @@ def test_compiled_bins_match_the_interpreter(convention, stages):
             np.sum([(c_h, c_v) for _key, _p, c_h, c_v in events], axis=0), abs=1e-12)
 
 
-def _bins(branch, maps):
-    """Sortable (branch, map) per bin; adding 0.0 turns -0.0 into 0.0."""
-    return sorted(zip(branch.tolist(), (maps + 0.0).view(float).reshape(len(maps), -1).tolist()))
-
-
-@pytest.mark.parametrize("stages", [1, 2, 3, 4, 5, 6])
-@pytest.mark.parametrize("convention", list(BsConvention))
-def test_compiled_link_is_the_tables_corrected_slots(convention, stages):
-    # each compiled bin is, bit for bit, Pauli @ map of one accepted table slot of its branch
-    table = correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))
-    accepted = table.slot_correction >= 0
-    corrected = _PAULI_MATRICES[table.slot_correction[accepted]] @ table.slot_maps[accepted]
-    assert _bins(*qkd._compile_link(table)) == _bins(table.slot_branch[accepted], corrected)
-
-
 @pytest.mark.parametrize("stages", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("convention", list(BsConvention))
 def test_compiled_link_reads_the_accepted_slots_in_windows_order(convention, stages):
-    table = correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))
+    table = correction_table(EncoderSpec(stages, convention), DecoderSpec(0, convention))
     accepted = table.slot_correction >= 0
     branch, maps = qkd._compile_link(table)
     assert branch.tolist() == table.slot_branch[accepted].tolist()
@@ -223,7 +208,7 @@ _FLIPPED = {Correction.IDENTITY: Correction.BIT_FLIP, Correction.BIT_FLIP: Corre
 @pytest.mark.parametrize("convention", list(BsConvention))
 def test_one_flipped_gate_changes_exactly_that_bins_compiled_map(convention, stages, monkeypatch):
     # the benchmark's wrong-correction test flips one _gate_map entry and expects sifted errors
-    table = correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))
+    table = correction_table(EncoderSpec(stages, convention), DecoderSpec(0, convention))
     branch, maps = qkd._compile_link(table)
     original = qkd._gate_map
     gates = original(table, table.encoder, table.decoder)
@@ -260,7 +245,7 @@ def test_batched_counts_equal_the_per_pulse_interpreter(ensemble, convention, st
 
 def _link_weights(stages, convention):
     """(branch per bin, (bin, state) probability at unit coefficient) of a link, as simulate_bb84 reads it."""
-    table = correction_table(encoder_spec_for(stages, convention), DecoderSpec(0, convention))
+    table = correction_table(EncoderSpec(stages, convention), DecoderSpec(0, convention))
     branch, maps = qkd._compile_link(table)
     qubits = np.array([(q.alpha, q.beta) for pair in qkd._BB84_STATES for q in pair])
     return branch, (np.abs(np.einsum("jab,sb->sja", maps, qubits)) ** 2).sum(axis=2).T

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,14 +237,17 @@ def test_encoder_spec_validation():
             EncoderSpec(stages)
 
 
-def test_every_supported_depth_derives_its_group_delay():
-    for stages in range(1, MAX_STAGES + 1):
-        assert EncoderSpec(stages).dT == max(64, 2 ** (stages + 2))
+@pytest.mark.parametrize("stages", range(1, MAX_STAGES + 1))
+def test_every_supported_depth_derives_its_group_delay(stages):
+    assert EncoderSpec(stages).dT == max(64, 2 ** (stages + 2))
 
 
-def test_a_group_delay_in_the_convention_slot_is_rejected():
-    with pytest.raises(CircuitError, match="convention must be a BsConvention, got 64"):
-        EncoderSpec(1, 64)
+@pytest.mark.parametrize("convention", [64, "symmetric", None])
+def test_a_group_delay_in_the_convention_slot_is_rejected(convention):
+    # 64 is an old positional group delay; the value of a convention is not the convention
+    message = f"convention must be a BsConvention, got {convention!r}"
+    with pytest.raises(CircuitError, match=re.escape(message)):
+        EncoderSpec(1, convention)
 
 
 def test_decoder_spec_validation():

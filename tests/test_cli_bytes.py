@@ -45,6 +45,10 @@ CASES = {
     "scaling_surface_s6": ["scaling", "--convention", "surface", "--max-stages", "6", "--seed", "2"],
     "sweep_general_surface_s3": ["sweep", "--stages", "3", "--ensemble", "general",
                                  "--convention", "surface", "--samples", "5", "--seed", "8"],
+    # the ensembles that read no seed: every sample has the one channel
+    "sweep_identity": ["sweep", "--ensemble", "identity", "--samples", "7", "--seed", "3"],
+    "sweep_dephasing_json": ["sweep", "--ensemble", "dephasing", "--phi", "0.7", "--samples", "5",
+                             "--format", "json"],
 }
 
 

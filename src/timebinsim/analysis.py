@@ -299,7 +299,7 @@ def min_fidelity(reports: list[BranchReport]) -> float:
 
 
 class SweepSample(NamedTuple):
-    params: NoiseParams
+    coefficients: tuple       # (d1, g1, d2, g2) as drawn, in ``BRANCHES`` order
     success: float
     min_fidelity: float
 
@@ -375,32 +375,29 @@ def success_probability_sweep(
         block = range(start, min(start + per_block, samples))
         seeds = seed + np.arange(block.start, block.stop, dtype=np.uint64)
         coefficients = sample_coefficients(ensemble, seeds)
-        if ensemble.kind in ("identity", "dephasing"):  # read no seed; keep sample_noise's float entries
-            params = [sample_noise(ensemble, seed)] * len(block)
-        else:
-            params = [NoiseParams(*row) for row in coefficients.tolist()]
         qubits = sample_qubits(seeds)
         success, worst = _evaluate(table, coefficients, qubits)
-        rows += map(SweepSample, params, success.tolist(), worst.tolist())
+        rows += map(SweepSample, map(tuple, coefficients.tolist()), success.tolist(), worst.tolist())
         if start == 0:
-            _check_sample_zero(table, ensemble, seed, params[0], qubits[0], rows[0])
+            _check_sample_zero(table, ensemble, seed, coefficients[0], qubits[0], rows[0])
 
     mean = sum(r.success for r in rows) / samples
     deviation = _max_or_nan(abs(r.success - target) for r in rows)
     return SweepResult(target=target, samples=tuple(rows), mean_success=mean, max_deviation=deviation)
 
 
-def _check_sample_zero(table, ensemble, seed: int, params, qubit_row: np.ndarray, row: SweepSample):
-    """Raise RuntimeError unless sample 0's batched ``params`` and ``qubit_row`` are, bit for
-    bit, ``sample_noise``'s and ``random_qubit``'s for ``seed``, and ``row`` agrees with the
-    interpreter within 1e-12."""
+def _check_sample_zero(table, ensemble, seed: int, channel_row: np.ndarray, qubit_row: np.ndarray,
+                       row: SweepSample):
+    """Raise RuntimeError unless sample 0's batched ``channel_row`` and ``qubit_row`` are, bit
+    for bit, ``sample_noise``'s and ``random_qubit``'s for ``seed``, and ``row`` agrees with
+    the interpreter within 1e-12."""
     channel, qubit = sample_noise(ensemble, seed), random_qubit(seed)
-    batched = np.array([*params.coefficients(), *qubit_row])
+    batched = np.concatenate([channel_row, qubit_row])
     alone = np.array([*channel.coefficients(), qubit.alpha, qubit.beta])
     if batched.tobytes() != alone.tobytes():
         raise RuntimeError(f"batched draw {batched.tolist()} of sweep sample 0 differs from "
                            f"the unbatched {alone.tolist()} for seed {seed}")
-    reports = analyze(table.transmit(qubit, params), table, qubit)
+    reports = analyze(table.transmit(qubit, channel), table, qubit)  # bit-equal to the batched row
     _check_with_interpreter(row.success, row.min_fidelity, reports, f"sweep sample 0 (seed {seed})")
 
 

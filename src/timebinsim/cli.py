@@ -159,6 +159,11 @@ def _check_seed(seed: int, last: int = 0):
         raise ValueError(f"--seed must be at most 2**64 - {last + 1}, got {seed}")
 
 
+def _parts(coefficients) -> list[float]:
+    """(re, im) of each of (d1, g1, d2, g2), flattened: the CSV column order."""
+    return [x for c in coefficients for x in (c.real, c.imag)]
+
+
 def cmd_sweep(args) -> int:
     _check_seed(args.seed, args.samples - 1)  # sample i draws its channel and qubit from seed + i
     convention = BsConvention(args.convention)
@@ -173,7 +178,7 @@ def cmd_sweep(args) -> int:
             "mean_success": result.mean_success,
             "max_deviation": result.max_deviation,
             "samples": [
-                {"params": list(s.params.as_floats()), "success": s.success,
+                {"params": _parts(s.coefficients), "success": s.success,
                  "min_fidelity": s.min_fidelity}
                 for s in result.samples
             ],
@@ -183,7 +188,7 @@ def cmd_sweep(args) -> int:
         header = "d1_re,d1_im,g1_re,g1_im,d2_re,d2_im,g2_re,g2_im,success,min_fidelity"
         lines = [header]
         for s in result.samples:
-            cells = [_fmt(x) for x in s.params.as_floats()] + [_fmt(s.success), _fmt(s.min_fidelity)]
+            cells = [_fmt(x) for x in _parts(s.coefficients)] + [_fmt(s.success), _fmt(s.min_fidelity)]
             lines.append(",".join(cells))
         lines.append("summary,,,,,,,," + _fmt(result.mean_success) + "," + _fmt(result.max_deviation))
         _write(args.out, "\n".join(lines) + "\n")

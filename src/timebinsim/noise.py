@@ -56,13 +56,6 @@ class NoiseParams:
         """(d1, g1, d2, g2), the order of ``analysis.BRANCHES``."""
         return (self.d1, self.g1, self.d2, self.g2)
 
-    def as_floats(self) -> tuple[float, ...]:
-        """Flatten to 8 floats (re, im per parameter), CSV order."""
-        return (
-            self.d1.real, self.d1.imag, self.g1.real, self.g1.imag,
-            self.d2.real, self.d2.imag, self.g2.real, self.g2.imag,
-        )
-
 
 @dataclass(frozen=True)
 class NoiseEnsemble:

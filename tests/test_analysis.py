@@ -237,9 +237,10 @@ def test_sweep_samples_equal_the_interpreter(ensemble, convention, stages):
     result = success_probability_sweep(enc, dec, ensemble, samples=4, seed=seed)
     table = correction_table(enc, dec)
     for i, sample in enumerate(result.samples):
-        assert sample.params == sample_noise(ensemble, seed + i)
+        params = sample_noise(ensemble, seed + i)
+        assert sample.coefficients == params.coefficients()
         q = random_qubit(seed + i)
-        reports = analyze(table.transmit(q, sample.params), table, q)
+        reports = analyze(table.transmit(q, params), table, q)
         assert abs(sample.success - total_success(reports)) <= 1e-14
         assert abs(sample.min_fidelity - min_fidelity(reports)) <= 1e-14
 
@@ -337,7 +338,8 @@ def reference_sweep(enc, dec, ensemble, samples, seed):
         success, worst = analysis._evaluate(
             table, np.array([p.coefficients() for p in params], dtype=complex),
             np.array([(q.alpha, q.beta) for q in qubits], dtype=complex))
-        rows += map(analysis.SweepSample, params, success.tolist(), worst.tolist())
+        rows += map(analysis.SweepSample, [tuple(map(complex, p.coefficients())) for p in params],
+                    success.tolist(), worst.tolist())
     target = (enc.bins_per_group - 1) / enc.bins_per_group
     return analysis.SweepResult(target, tuple(rows), sum(r.success for r in rows) / samples,
                                 max(abs(r.success - target) for r in rows))

@@ -168,11 +168,6 @@ def test_noise_commutes_with_restrict():
     assert a.max_deviation(b) < 1e-15
 
 
-def test_as_floats_order():
-    p = NoiseParams(1.0, 0.0, 0.0, 1j)
-    assert p.as_floats() == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
-
-
 # -- the channel stream and its batch ------------------------------------------
 
 #: the channel seeds simulate_bb84 draws, plus the edges of the seed range

@@ -189,6 +189,8 @@ class DecoderSpec:
     convention: BsConvention = BsConvention.SYMMETRIC
 
     def __post_init__(self):
+        if not isinstance(self.convention, BsConvention):
+            raise CircuitError(f"convention must be a BsConvention, got {self.convention!r}")
         if self.dTprime < 0:
             raise CircuitError("V-branch delay must be >= 0 ticks")
 

@@ -84,6 +84,8 @@ class Element:
             raise ValueError(f"{self.kind}: repeated channel label")
         if not math.isfinite(self.phi):
             raise ValueError(f"{self.kind}: phase must be finite, got {self.phi!r}")
+        if not isinstance(self.convention, BsConvention):
+            raise ValueError(f"{self.kind}: convention must be a BsConvention, got {self.convention!r}")
         if self.kind == "delay" and self.ticks < 0:
             raise ValueError("delay must be >= 0 ticks")
         if self.kind == "split" and self.ticks < 1:

@@ -253,6 +253,10 @@ def test_a_group_delay_in_the_convention_slot_is_rejected(convention):
 def test_decoder_spec_validation():
     with pytest.raises(CircuitError):
         DecoderSpec(dTprime=-1)
+    for convention in (64, "symmetric"):
+        message = f"convention must be a BsConvention, got {convention!r}"
+        with pytest.raises(CircuitError, match=re.escape(message)):
+            DecoderSpec(0, convention)
     check_compatible(EncoderSpec(1), DecoderSpec(0))
     check_compatible(EncoderSpec(1), DecoderSpec(16))
     with pytest.raises(CircuitError):

@@ -231,5 +231,7 @@ def test_element_arity_validation():
         Element("delay", ("a",), ("a",), ticks=-2)
     with pytest.raises(ValueError, match="unknown element kind"):
         Element("zzz", ("a",), ("b",))
+    with pytest.raises(ValueError, match="bs: convention must be a BsConvention, got 'surface'"):
+        Element("bs", ("a", "b"), ("c", "d"), convention="surface")
     with pytest.raises(ValueError, match="repeated channel label"):
         apply(Element("bs", ("a",), ("o", "o")), one())

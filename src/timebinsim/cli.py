@@ -196,10 +196,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    if not 1 <= args.max_stages <= 6:
-        raise ValueError("--max-stages must be 1 to 6: scaling beyond 6 stages is not desk-scale")
-    _check_seed(args.seed, args.max_stages)  # row n draws its channel and qubit from seed + n
     convention = BsConvention(args.convention)
+    EncoderSpec(args.max_stages, convention)  # the deepest row's depth is checked before any row
+    _check_seed(args.seed, args.max_stages)  # row n draws its channel and qubit from seed + n
     rows = []
     for stages in range(1, args.max_stages + 1):
         encoder = EncoderSpec(stages, convention)

@@ -196,12 +196,25 @@ def test_a_wrong_stage_1_slot_map_stops_scaling(monkeypatch, tmp_path):
         main(["scaling", "--max-stages", "2", "--seed", "3", "--out", str(tmp_path / "s.csv")])
 
 
-@pytest.mark.parametrize("max_stages", ["9", "0", "-1"])
-def test_scaling_rejects_a_depth_outside_1_to_6(max_stages, tmp_path, capsys):
+@pytest.mark.parametrize("max_stages, message", [("13", "exceed the limit of 12"),
+                                                 ("0", "at least one splitter stage"),
+                                                 ("-1", "at least one splitter stage")])
+def test_scaling_rejects_a_depth_outside_1_to_12(max_stages, message, tmp_path, capsys):
     out = tmp_path / "scaling.csv"
     assert main(["scaling", "--max-stages", max_stages, "--out", str(out)]) == 2
-    assert "1 to 6" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
     assert not out.exists()
+
+
+def test_scaling_runs_to_the_deepest_encoder(tmp_path):
+    out = tmp_path / "s.json"
+    assert main(["scaling", "--max-stages", "12", "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert [row["stages"] for row in rows] == list(range(1, 13))
+    for row in rows:
+        n = row["bins_per_group"]
+        assert abs(row["success"] - (n - 1) / n) <= 1e-9
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--seed", "-1"], ["scaling", "--seed", "-3"],

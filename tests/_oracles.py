@@ -10,7 +10,8 @@ Each one checks package code from outside it:
 - ``noise_matrix``: the Jones matrix, for the unitarity of ``noise.sample_noise``'s Haar draws;
 - ``csv_rows``: one row per bin, for the bins that ``analysis.analyze`` files under a branch;
 - ``detection_events``: the corrected accepted bins of an interpreted state, for ``qkd``'s compiled link;
-- ``sequential_bins``: the bin-by-bin walk of detection sampling, for ``qkd``'s two-level sampler.
+- ``sequential_bins``: the bin-by-bin walk of detection sampling, for ``qkd``'s two-level sampler;
+- ``one_pauli_flipped``: a wrong correction, for the tests that ``qkd`` counts must see it.
 """
 
 import math
@@ -18,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from timebinsim.analysis import BranchReport, _slots
+from timebinsim.analysis import BranchReport, Correction, _slots
 from timebinsim.elements import _INV_SQRT2, BsConvention
 from timebinsim.noise import NoiseParams
 from timebinsim.state import H, V, PhotonState, QubitSpec
@@ -139,3 +140,14 @@ def sequential_bins(branch, weights, branch_weight, state, u):
         hit[(hit < 0) & (u < p)] = j
         u -= p
     return hit
+
+
+def one_pauli_flipped(gate_map):
+    """``gate_map``, a ``qkd._gate_map``, with its first accepted bin's Pauli
+    swapped I <-> X, or set to I if it is Z or Y."""
+    def flipped(table, encoder, decoder):
+        gates = gate_map(table, encoder, decoder)
+        key = min(gates)
+        gates[key] = Correction.BIT_FLIP if gates[key] is Correction.IDENTITY else Correction.IDENTITY
+        return gates
+    return flipped

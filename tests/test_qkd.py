@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import detection_events, sequential_bins
+from _oracles import detection_events, one_pauli_flipped, sequential_bins
 from timebinsim import qkd
 from timebinsim.analysis import _PAULI_MATRICES, Correction, correction_table
 from timebinsim.circuits import CHANNEL, CircuitError, DecoderSpec, EncoderSpec
@@ -354,15 +354,7 @@ def test_uniform_stays_below_one(monkeypatch):
 
 
 def test_a_wrong_correction_gives_sifted_errors(monkeypatch):
-    original = qkd._gate_map
-
-    def one_pauli_flipped(table, encoder, decoder):
-        gates = original(table, encoder, decoder)
-        key = min(gates)
-        gates[key] = Correction.BIT_FLIP if gates[key] is Correction.IDENTITY else Correction.IDENTITY
-        return gates
-
-    monkeypatch.setattr(qkd, "_gate_map", one_pauli_flipped)
+    monkeypatch.setattr(qkd, "_gate_map", one_pauli_flipped(qkd._gate_map))
     cfg = Bb84Config(pulses=600, ensemble=HAAR, seed=8)
     stats = simulate_bb84(cfg)
     assert stats.errors > 0

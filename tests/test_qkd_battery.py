@@ -15,6 +15,10 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
+
+from _oracles import one_pauli_flipped
+from timebinsim import qkd
 from timebinsim.elements import BsConvention
 from timebinsim.noise import GENERAL, HAAR, dephasing
 from timebinsim.qkd import Bb84Config, simulate_bb84
@@ -50,6 +54,28 @@ def test_counts_equal_the_recorded_battery():
     assert actual.keys() == expected.keys()
     moved = {key: (expected[key], counts) for key, counts in actual.items() if counts != expected[key]}
     assert not moved
+
+
+def _swap_the_channel_stream(monkeypatch):
+    """Draw every channel from other seeds than the ones ``simulate_bb84`` derives."""
+    original = qkd._channel_coefficients
+    monkeypatch.setattr(qkd, "_channel_coefficients",
+                        lambda ensemble, seeds: original(ensemble, seeds ^ np.uint64(0x5DEECE66D5DEECE6)))
+
+
+def test_the_counts_do_not_depend_on_the_channel_stream(monkeypatch):
+    # with right corrections a pulse is detected with mass eta (N-1)/N and Bob's
+    # outcome is certain, whichever channel it met
+    _swap_the_channel_stream(monkeypatch)
+    assert battery() == json.loads(EXPECTED.read_text(encoding="utf-8"))
+
+
+def test_under_a_wrong_correction_the_counts_do_depend_on_it(monkeypatch):
+    # the twin of the test above: it can fail, since a flipped Pauli makes errors that follow the channel
+    monkeypatch.setattr(qkd, "_gate_map", one_pauli_flipped(qkd._gate_map))
+    drawn = battery()
+    _swap_the_channel_stream(monkeypatch)
+    assert battery() != drawn
 
 
 def record() -> None:

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from _circgen import corrupt_text, random_circuit, random_lossless_chain
 from _oracles import random_state

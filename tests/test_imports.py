@@ -1,10 +1,10 @@
-"""No module of the package imports a name it never uses, or numpy.random,
-and no module of the repository sets the encoder's group delay.
+"""No module of the repository imports a name it never uses, no module of
+the package imports numpy.random, and no module sets the encoder's group delay.
 
 The repository has no linter; this is the one check of pyflakes' F401 it
-needs, written with ``ast``. The re-exports of ``__init__.py`` are the
-package's API, and an import whose line carries ``# noqa: F401`` is kept
-on purpose (``qkd`` binds ``run`` and ``_apply_collective_noise`` for the
+needs, written with ``ast``, over every module of ``src/``, ``tests/`` and
+``demos/``. The re-exports of ``__init__.py`` are the package's API, and an
+import whose line carries ``# noqa: F401`` is kept on purpose (``qkd`` binds ``run`` and ``_apply_collective_noise`` for the
 per-pulse oracle and the benchmark's tracer). Every draw reads the
 counter-based stream of ``noise._words``, so no module refers to
 ``numpy.random``, whose import costs 15-20 ms and its memory. The group
@@ -21,7 +21,6 @@ import pytest
 import timebinsim
 
 PACKAGE = sorted(Path(timebinsim.__file__).parent.glob("*.py"))
-MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for folder in ("src", "tests", "demos") for p in (ROOT / folder).rglob("*.py"))
 
@@ -64,7 +63,7 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["os (line 1)", "tau (line 3)", "Pattern (line 5)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -4,10 +4,11 @@ the package imports numpy.random, and no module sets the encoder's group delay.
 The repository has no linter; this is the one check of pyflakes' F401 it
 needs, written with ``ast``, over every module of ``src/``, ``tests/`` and
 ``demos/``. The re-exports of ``__init__.py`` are the package's API, and an
-import whose line carries ``# noqa: F401`` is kept on purpose (``qkd`` binds ``run`` and ``_apply_collective_noise`` for the
-per-pulse oracle and the benchmark's tracer). Every draw reads the
-counter-based stream of ``noise._words``, so no module refers to
-``numpy.random``, whose import costs 15-20 ms and its memory. The group
+import whose line carries ``# noqa: F401`` is kept on purpose (``qkd``
+binds ``run`` and ``_apply_collective_noise`` for the per-pulse oracle and
+the benchmark's tracer). Every draw reads the counter-based stream of
+``noise._words``, so no package module refers to ``numpy.random``, whose
+import costs 15-20 ms and its memory. The group
 delay ``EncoderSpec.dT`` is derived from the depth; ``encoder_spec_for`` is
 an alias kept only for the benchmark, so nothing under ``src/``, ``tests/``
 or ``demos/`` calls it.

@@ -29,7 +29,7 @@ from .circuits import (
     recombiner_elements,
     run,
 )
-from .elements import BsConvention
+from .elements import BsConvention, ConventionError
 from .noise import HAAR, NoiseEnsemble, apply_collective_noise, random_qubit, sample_noise
 from .qkd import Bb84Config, simulate_bb84
 from .state import PhotonState, QubitSpec, _max_or_nan, new_state
@@ -45,47 +45,29 @@ def _write(out_path: str | None, text: str):
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
+def _train(qubit: QubitSpec, channel: str, pol: str, start: int, length: int, scale: complex,
+           odd_sign: int = 1) -> dict:
+    """Amplitudes ``scale * (alpha, odd_sign * beta, alpha, ...)`` on ``length`` bins from tick ``start``."""
+    beta = odd_sign * qubit.beta
+    return {(channel, pol, start + t): scale * (qubit.alpha if t % 2 == 0 else beta) for t in range(length)}
+
+
 def _expected_encoded(qubit: QubitSpec, spec: EncoderSpec) -> PhotonState:
-    """Closed form of the encoder output under the surface convention."""
+    """Closed form of the encoder output: (a, b, a, ...)/sqrt(N) on H from tick 0, and from
+    tick dT on V -i*(a, b, ...)/sqrt(N) under the surface convention, +i*(a, -b, ...)/sqrt(N)
+    under the symmetric one."""
     n = spec.bins_per_group
     scale = 1.0 / math.sqrt(n)
-    amps = {}
-    for t in range(n):
-        coeff = (qubit.alpha if t % 2 == 0 else qubit.beta) * scale
-        amps[(CHANNEL, "H", t)] = coeff
-        amps[(CHANNEL, "V", t + spec.dT)] = -1j * coeff
-    return PhotonState(amps)
-
-
-def _phase_class_deviation(actual: PhotonState, expected: PhotonState, spec: EncoderSpec) -> float:
-    """Largest in-class mismatch allowing one phase per (group, bin parity).
-
-    The unitary splitter convention reproduces the surface-convention
-    train up to a constant phase on each parity class of each group, so
-    the comparison quotients those four phases out.
-    """
-    devs = []
-    for pol, offset in (("H", 0), ("V", spec.dT)):
-        for parity in (0, 1):
-            ratio = None
-            for t in range(parity, spec.bins_per_group, 2):
-                a = actual.amplitude(CHANNEL, pol, t + offset)
-                e = expected.amplitude(CHANNEL, pol, t + offset)
-                if abs(e) < 1e-12:
-                    devs.append(abs(a))
-                    continue
-                if ratio is None:
-                    ratio = a / e
-                    if abs(abs(ratio) - 1.0) > 1e-9:
-                        return float("inf")
-                devs.append(abs(a - ratio * e))
-    return _max_or_nan(devs)
+    if spec.convention is BsConvention.SURFACE_PHASES:
+        v_group = _train(qubit, CHANNEL, "V", spec.dT, n, -1j * scale)
+    else:
+        v_group = _train(qubit, CHANNEL, "V", spec.dT, n, 1j * scale, odd_sign=-1)
+    return PhotonState({**_train(qubit, CHANNEL, "H", 0, n, scale), **v_group})
 
 
 def cmd_golden(args) -> int:
     _check_seed(args.seed, 9)  # the qubit reads seed, the noise-branches check seed to seed + 9
-    convention = BsConvention(args.convention)
-    spec = EncoderSpec(stages=1, convention=convention)
+    spec = EncoderSpec(stages=1, convention=BsConvention(args.convention))
     qubit = random_qubit(args.seed)
     failures = []
 
@@ -99,16 +81,11 @@ def cmd_golden(args) -> int:
     try:
         encoder = load_circuit(args.encoder_circ) if args.encoder_circ else build_encoder(spec)
         sent = run(encoder, new_state(qubit, encoder.input))
-        expected = _expected_encoded(qubit, spec)
-        if convention is BsConvention.SURFACE_PHASES:
-            dev = sent.max_deviation(expected)
-        else:
-            dev = _phase_class_deviation(sent, expected, spec)
-    except (CircuitError, CircuitTextError) as err:
+    except (CircuitError, CircuitTextError, ConventionError) as err:
         print(f"check encode: error: {err}")
         failures.append("encode")
     else:
-        report("encode", dev)
+        report("encode", sent.max_deviation(_expected_encoded(qubit, spec)))
 
     # check 2: collective noise produces the four-branch structure with
     # coefficients d1/2, g1/2, -i*d2/2, -i*g2/2 on the reference train
@@ -118,28 +95,20 @@ def cmd_golden(args) -> int:
     for k in range(10):
         params = sample_noise(HAAR, args.seed + k)
         noisy = apply_collective_noise(ref_sent, params, CHANNEL)
-        amps = {}
-        for t in range(4):
-            coeff = qubit.alpha if t % 2 == 0 else qubit.beta
-            amps[(CHANNEL, "H", t)] = coeff * params.d1 / 2
-            amps[(CHANNEL, "V", t)] = coeff * params.g1 / 2
-            amps[(CHANNEL, "H", t + ref_spec.dT)] = -1j * coeff * params.d2 / 2
-            amps[(CHANNEL, "V", t + ref_spec.dT)] = -1j * coeff * params.g2 / 2
-        devs.append(noisy.max_deviation(PhotonState(amps)))
+        expected = {**_train(qubit, CHANNEL, "H", 0, 4, params.d1 / 2),
+                    **_train(qubit, CHANNEL, "V", 0, 4, params.g1 / 2),
+                    **_train(qubit, CHANNEL, "H", ref_spec.dT, 4, -1j * params.d2 / 2),
+                    **_train(qubit, CHANNEL, "V", ref_spec.dT, 4, -1j * params.g2 / 2)}
+        devs.append(noisy.max_deviation(PhotonState(expected)))
     report("noise-branches", _max_or_nan(devs))
 
     # check 3: the recombiner maps the H-group train to the two-arm state
     # that meets the final polarizing merge
-    s2 = 1.0 / math.sqrt(2.0)
-    group = PhotonState({("mid", "H", t): (qubit.alpha if t % 2 == 0 else qubit.beta) * s2 for t in range(4)})
+    group = PhotonState(_train(qubit, "mid", "H", 0, 4, 1.0 / math.sqrt(2.0)))
     stage = Circuit("mid", recombiner_elements(BsConvention.SURFACE_PHASES), ("sp", "lp"))
     arms = run(stage, group)
-    amps = {}
-    for t in range(4):
-        coeff = (qubit.alpha if t % 2 == 0 else qubit.beta) / 2.0
-        amps[("sp", "V", t)] = coeff
-        amps[("lp", "H", t + 1)] = coeff
-    report("recombine", arms.max_deviation(PhotonState(amps)))
+    expected = {**_train(qubit, "sp", "V", 0, 4, 0.5), **_train(qubit, "lp", "H", 1, 4, 0.5)}
+    report("recombine", arms.max_deviation(PhotonState(expected)))
 
     if failures:
         print("failed checks: " + ", ".join(failures))
@@ -269,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     conventions = sorted(c.value for c in BsConvention)
 
-    def common(p, convention_default="symmetric"):
-        p.add_argument("--convention", choices=conventions, default=convention_default)
+    def common(p):
+        p.add_argument("--convention", choices=conventions, default="symmetric")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")

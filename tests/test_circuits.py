@@ -31,13 +31,16 @@ S2 = 1.0 / math.sqrt(2.0)
 
 
 def expected_train(q, spec):
+    """(a, b, a, ...)/sqrt(N) on H from tick 0; from tick dT on V, -i*(a, b, ...)/sqrt(N)
+    under the surface convention and +i*(a, -b, ...)/sqrt(N) under the symmetric one."""
     n = spec.bins_per_group
     scale = 1.0 / math.sqrt(n)
+    v_phase, v_odd_sign = (-1j, 1) if spec.convention is SURF else (1j, -1)
     amps = {}
     for t in range(n):
-        coeff = (q.alpha if t % 2 == 0 else q.beta) * scale
-        amps[(CHANNEL, "H", t)] = coeff
-        amps[(CHANNEL, "V", t + spec.dT)] = -1j * coeff
+        even = t % 2 == 0
+        amps[(CHANNEL, "H", t)] = (q.alpha if even else q.beta) * scale
+        amps[(CHANNEL, "V", t + spec.dT)] = v_phase * (q.alpha if even else v_odd_sign * q.beta) * scale
     return PhotonState(amps)
 
 
@@ -47,6 +50,17 @@ def test_encoder_surface_reproduces_eight_mode_train():
     out = run(build_encoder(spec), new_state(q))
     assert len(out) == 8
     assert out.max_deviation(expected_train(q, spec)) < 1e-12
+
+
+@pytest.mark.parametrize("convention", [SURF, SYM])
+@pytest.mark.parametrize("stages", [1, 2, 3, 4])
+def test_encoder_matches_the_closed_form_train_exactly(stages, convention):
+    # amplitudes, not magnitudes or phase classes: a wrong arm phase shows here
+    spec = EncoderSpec(stages, convention)
+    for seed in range(5):
+        q = random_qubit(seed)
+        out = run(build_encoder(spec), new_state(q))
+        assert out.max_deviation(expected_train(q, spec)) < 1e-12
 
 
 def test_encoder_basis_input_four_modes():

@@ -9,7 +9,7 @@ from timebinsim import cli, noise
 from timebinsim.analysis import analyze, correction_table, total_success
 from timebinsim.cli import main
 from timebinsim.circfile import print_circuit
-from timebinsim.circuits import DecoderSpec, EncoderSpec, build_encoder
+from timebinsim.circuits import CHANNEL, DecoderSpec, EncoderSpec, build_encoder
 from timebinsim.elements import BsConvention
 from timebinsim.noise import HAAR, random_qubit, sample_noise
 from timebinsim.state import PhotonState
@@ -26,15 +26,30 @@ def test_golden_symmetric_passes(capsys):
     assert capsys.readouterr().out.count("[pass]") == 3
 
 
-def test_golden_corrupted_circuit_names_encode_check(tmp_path, capsys):
-    circuit = build_encoder(EncoderSpec(1, BsConvention.SURFACE_PHASES))
+@pytest.mark.parametrize("convention", ["surface", "symmetric"])
+def test_golden_corrupted_circuit_names_encode_check(convention, tmp_path, capsys):
+    # a wrong long-arm phase is a Z rotation of the qubit, which no phase may quotient out
+    circuit = build_encoder(EncoderSpec(1, BsConvention(convention)))
     text = print_circuit(circuit).replace("phi=4.71238898038469", "phi=4.0")
+    assert text != print_circuit(circuit)
     bad = tmp_path / "bad.circ"
     bad.write_text(text)
+    assert main(["golden", "--encoder-circ", str(bad), "--convention", convention]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "failed checks: encode"
+    assert "encode: max amplitude deviation" in out and "[FAIL]" in out
+
+
+def test_golden_reports_a_convention_violation_as_a_failed_encode_check(tmp_path, capsys):
+    # both arms meet a surface-phase splitter in one slot; the other checks still run
+    bad = tmp_path / "violating.circ"
+    bad.write_text("input in\npbs in -> s l\nhwp l -> l\nbs s l -> 1 2 conv=surface\n"
+                   "pbs 1 2 -> chan\noutput chan\n")
     assert main(["golden", "--encoder-circ", str(bad)]) == 1
     out = capsys.readouterr().out
-    assert "encode" in out.splitlines()[-1]
-    assert "[FAIL]" in out
+    assert out.startswith("check encode: error: surface-phase splitter")
+    assert out.count("[pass]") == 2
+    assert out.splitlines()[-1] == "failed checks: encode"
 
 
 def test_golden_unparseable_circuit_fails_encode_check(tmp_path, capsys):
@@ -45,7 +60,13 @@ def test_golden_unparseable_circuit_fails_encode_check(tmp_path, capsys):
 
 
 def test_golden_counts_a_nan_deviation_as_a_failed_check(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_phase_class_deviation", lambda *args: float("nan"))
+    expected_encoded = cli._expected_encoded
+
+    def with_a_nan(qubit, spec):
+        state = expected_encoded(qubit, spec)
+        return PhotonState({**state.amplitudes, (CHANNEL, "H", 0): complex("nan")})
+
+    monkeypatch.setattr(cli, "_expected_encoded", with_a_nan)
     assert main(["golden", "--convention", "symmetric"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out and out.splitlines()[-1] == "failed checks: encode"

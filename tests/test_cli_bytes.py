@@ -28,6 +28,9 @@ CIRCUITS = Path(timebinsim.__file__).parent / "data"
 CASES = {
     "golden_surface": ["golden"],
     "golden_symmetric": ["golden", "--convention", "symmetric"],
+    # the shipped encoder file through golden's file path
+    "golden_circ_symmetric": ["golden", "--encoder-circ", str(CIRCUITS / "encoder_n1.circ"),
+                              "--convention", "symmetric"],
     "sweep_csv": ["sweep", "--samples", "5", "--seed", "3"],
     "sweep_json": ["sweep", "--samples", "5", "--seed", "3", "--format", "json"],
     "scaling": ["scaling", "--max-stages", "4", "--seed", "1"],

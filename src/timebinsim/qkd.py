@@ -95,11 +95,9 @@ class Bb84Stats:
 
 def effective_efficiency(stages: int, eta: float) -> float:
     """Detector efficiency scaled by the (N-1)/N post-selection factor."""
-    if stages < 1:
-        raise ValueError("stages must be >= 1")
+    n = EncoderSpec(stages).bins_per_group  # checks the depth
     if not 0.0 < eta <= 1.0:
         raise ValueError("detector efficiency must be in (0, 1]")
-    n = 2 ** (stages + 1)
     return eta * (n - 1) / n
 
 

@@ -84,13 +84,6 @@ _CORRECTIONS = tuple(Correction)
 #: identity, gives its rows.
 _PAULI_MATRICES = np.array([c.apply(*np.eye(2, dtype=int)) for c in _CORRECTIONS], dtype=complex)
 
-#: Per Pauli P of ``_CORRECTIONS``, the coefficients on a map's entries (m00, m01, m10, m11)
-#: of (P m)01, (P m)10 and (P m)00 - (P m)11, one column each, read off P times each unit
-#: map. All three vanish when P m is proportional to the identity.
-_UNIT_IMAGES = np.einsum("pij,kjl->kpil", _PAULI_MATRICES, np.eye(4).reshape(4, 2, 2))
-_PAULI_TESTS = np.stack([_UNIT_IMAGES[..., 0, 1], _UNIT_IMAGES[..., 1, 0],
-                         _UNIT_IMAGES[..., 0, 0] - _UNIT_IMAGES[..., 1, 1]], axis=-1).reshape(4, -1)
-
 
 class CorrectionDerivationError(RuntimeError):
     """No single Pauli undoes some interior bin: a convention bug."""
@@ -143,13 +136,38 @@ def _slots(state: PhotonState, keep) -> dict:
 
 def _find_paulis(maps: np.ndarray) -> np.ndarray:
     """Per 2x2 map m, the index in ``_CORRECTIONS`` of the first Pauli P with P @ m
-    proportional to the identity, else -1: as P @ P = 1, m proportional to P."""
+    proportional to the identity, else -1: as P @ P = 1, m proportional to P.
+
+    I and Z need a zero off-diagonal and ``m00 - m11`` or ``m00 + m11`` zero; X and Y
+    a zero diagonal and ``m10 - m01`` or ``m10 + m01`` zero. Zero is at most 1e-9 of
+    the map's largest entry.
+    """
     entries = maps.reshape(-1, 4)
-    scale = 1e-9 * np.abs(entries).max(axis=1, keepdims=True)
-    # einsum, not a BLAS matmul: the tests are sums of entries, and BLAS would add its buffers
-    sums = np.einsum("sk,kt->st", entries, _PAULI_TESTS)
-    match = (np.abs(sums) <= scale).reshape(-1, len(_CORRECTIONS), 3).all(axis=2)
-    return np.where(match.any(axis=1), match.argmax(axis=1), -1)
+    m00, m01, m10, m11 = entries.T
+    s00, s01, s10, s11 = np.abs(entries).T
+    scale = 1e-9 * np.maximum(np.maximum(s00, s01), np.maximum(s10, s11))
+    diagonal, anti = np.maximum(s01, s10) <= scale, np.maximum(s00, s11) <= scale
+    tests = {
+        Correction.IDENTITY: diagonal & (np.abs(m00 - m11) <= scale),
+        Correction.BIT_FLIP: anti & (np.abs(m10 - m01) <= scale),
+        Correction.PHASE_FLIP: diagonal & (np.abs(m00 + m11) <= scale),
+        Correction.BIT_PHASE_FLIP: anti & (np.abs(m10 + m01) <= scale),
+    }
+    found = np.full(len(entries), -1)
+    for index in reversed(range(len(_CORRECTIONS))):  # so that the first match wins
+        found[tests[_CORRECTIONS[index]]] = index
+    return found
+
+
+def _span(circuit: Circuit) -> int:
+    """One tick past every output of a unit input at tick 0: no path through
+    ``circuit`` is longer than the sum of its element ticks."""
+    return 1 + sum(el.ticks for el in circuit.elements)
+
+
+def _both_inputs(channel: str, span: int) -> PhotonState:
+    """A unit H amplitude at tick 0 and a unit V amplitude at tick ``span`` on ``channel``."""
+    return PhotonState._from_clean({(channel, H, 0): 1 + 0j, (channel, V, span): 1 + 0j})
 
 
 def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTable:
@@ -161,6 +179,12 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
     its response to a unit amplitude at tick 0. A bin is accepted when its 2x2
     map is proportional to a Pauli; the rank-deficient first and last bins of
     each group are the discards.
+
+    Each device runs once, on both basis inputs: a unit H amplitude at tick 0
+    and a unit V amplitude at its ``_span``. No path is longer than the sum of
+    the device's element ticks, so the two responses lie on disjoint ticks and
+    never meet at an element; split at the span, they are the two one-input
+    runs mode for mode.
     """
     check_compatible(encoder, decoder)
     enc_c = build_encoder(encoder)
@@ -171,23 +195,30 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
     windows = {(port, offset + t): (branch, t)
                for branch, port, offset in zip(BRANCHES, ports, offsets) for t in range(n + 1)}
 
-    taps = [(port, pol, d, r) for unit in (H, V) for (port, pol, d), r in
-            _decode(dec_c, PhotonState._from_clean({(CHANNEL, unit, 0): 1 + 0j}),
-                    NoiseParams.identity()).amplitudes.items()]
+    dec_span = _span(dec_c)
+    response = _decode(dec_c, _both_inputs(CHANNEL, dec_span), NoiseParams.identity()).amplitudes
+    # the H input's taps, then the V input's, each in the order of its own run
+    taps = [(port, pol, d, r) for (port, pol, d), r in response.items() if d < dec_span]
+    taps += [(port, pol, d - dec_span, r) for (port, pol, d), r in response.items() if d >= dec_span]
     # the sent (H input, V input) trains by tick, shifted by the longest delay: a read before
     # tick 0 lands on zeros
     pad = max(d for _, _, d, _ in taps)
     train = np.zeros((2, pad + max(offsets) + n + 1), dtype=complex)
-    for col, q in enumerate((QubitSpec.horizontal(), QubitSpec.vertical())):
-        sent = run(enc_c, new_state(q)).amplitudes
-        np.add.at(train[col], [pad + t for _, _, t in sent], list(sent.values()))
+    enc_span = _span(enc_c)
+    sent = run(enc_c, _both_inputs(enc_c.input, enc_span)).amplitudes
+    # row 1, the V input's train, holds the ticks from the span on
+    row, tick = np.divmod(np.fromiter((t for _, _, t in sent), dtype=np.intp, count=len(sent)), enc_span)
+    np.add.at(train, (row, pad + tick), np.fromiter(sent.values(), dtype=complex, count=len(sent)))
     # the identity channel and the polarization swap carry each sent amplitude once in each
     # polarization and light each window under one of the two, so a tap reads the train
     # whichever polarization carries it; gain is the tap's amplitude where it lands
     slot_tick = (np.array(offsets)[:, None] + np.arange(n + 1)).ravel()
     reads = train[:, pad + slot_tick - np.array([d for _, _, d, _ in taps])[:, None]]
-    gain = np.array([[[r if port == p and pol is q else 0j for q in (H, V)] for p in ports]
-                     for port, pol, _, r in taps])
+    gain = np.zeros((len(taps), len(ports), 2), dtype=complex)
+    for k, (port, pol, _, r) in enumerate(taps):
+        for b, p in enumerate(ports):
+            if p == port:
+                gain[k, b, 0 if pol is H else 1] = r
     maps = np.einsum("ckbt,kbp->btpc", reads.reshape(2, len(taps), len(ports), n + 1), gain)
     maps = maps.reshape(-1, 2, 2)
 

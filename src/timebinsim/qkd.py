@@ -155,7 +155,7 @@ def _compile_link(table: CorrectionTable) -> tuple[np.ndarray, np.ndarray]:
     ``coefficient[branch[j]] * maps[j] @ qubit``.
     """
     gates = _gate_map(table, table.encoder, table.decoder)
-    slots, pauli = np.array(list(_detection_events(table, gates)), dtype=np.intp).T
+    slots, pauli = (np.array(column, dtype=np.intp) for column in zip(*_detection_events(table, gates)))
     # einsum, not a BLAS matmul: the Pauli entries are 0, +-1 and +-i, and BLAS would add its buffers
     return table.slot_branch[slots], np.einsum("sij,sjk->sik", _PAULI_MATRICES[pauli], table.slot_maps[slots])
 

@@ -315,6 +315,27 @@ def test_a_wrong_correction_shows_as_fidelity_loss(monkeypatch):
     assert max(s.min_fidelity for s in result.samples) < 0.99
 
 
+def test_evaluate_scales_each_slot_by_its_own_branch():
+    # with right Paulis every branch restores the qubit, so no sweep output shows
+    # which coefficient scales which slot; one wrong Pauli in branch P2V does: only
+    # a channel that lights P2V loses fidelity, and a permuted branch order in
+    # _evaluate moves the loss to the other channel
+    table = correction_table(EncoderSpec(1, SYM), DecoderSpec(0, SYM))
+    corrections = table.slot_correction.copy()
+    in_p2v = (table.slot_branch == BRANCHES.index(BranchId.P2V)) & (corrections >= 0)
+    corrections[np.flatnonzero(in_p2v)[0]] ^= 1  # I <-> X, Z <-> Y
+    flipped = dataclasses.replace(table, slot_correction=corrections)
+    q = random_qubit(5)
+    channels = (NoiseParams(1, 0, 1, 0), NoiseParams(0, 1, 0, 1))  # P1H and P2H, then P1V and P2V
+    coefficients = np.array([c.coefficients() for c in channels], dtype=complex)
+    success, worst = analysis._evaluate(flipped, coefficients, np.array([[q.alpha, q.beta]] * 2))
+    x_fidelity = (2 * (q.alpha.conjugate() * q.beta).real) ** 2  # |<q|X|q>|^2
+    assert worst.tolist() == pytest.approx([1.0, x_fidelity], abs=1e-12) and x_fidelity < 0.05
+    assert success.tolist() == pytest.approx([0.75, 0.75], abs=1e-12)
+    for channel, fidelity in zip(channels, worst.tolist()):
+        assert min_fidelity(analyze(flipped.transmit(q, channel), flipped, q)) == pytest.approx(fidelity, abs=1e-12)
+
+
 @pytest.mark.parametrize("stages", [1, 3])
 @pytest.mark.parametrize("convention", [SYM, SURF])
 def test_an_uncorrectable_bin_raises_the_derivation_error(convention, stages, monkeypatch):
@@ -428,11 +449,15 @@ def within_rounding_of_the_oracle(maps, oracle):
 
 
 def test_a_negated_decoder_tap_breaks_the_oracle_bound(monkeypatch):
-    # the unit impulses are the only one-mode states the table decodes
+    # the table decodes both unit impulses in one run, H at tick 0 and V at the
+    # decoder's span, the only two-mode state it decodes; the H response lies
+    # before the span
     def negate_first_tap(dec_c, sent, params):
         out = analysis_decode(dec_c, sent, params)
-        if len(sent) == 1 and sent.amplitude(circuits.CHANNEL, "H", 0) == 1:
-            first = next(iter(out.amplitudes))
+        if len(sent) == 2 and sent.amplitude(circuits.CHANNEL, "H", 0) == 1:
+            span = analysis._span(dec_c)
+            assert sent.amplitude(circuits.CHANNEL, "V", span) == 1
+            first = next(mode for mode in out.amplitudes if mode[2] < span)
             out = PhotonState._from_clean({**out.amplitudes, first: -out.amplitudes[first]})
         return out
 

@@ -6,6 +6,7 @@ import pytest
 
 from _circgen import random_circuit
 from _oracles import fidelity_with_qubit, qubit_amplitudes, random_state, restrict, superpose
+from timebinsim import analysis
 from timebinsim.analysis import correction_table
 from timebinsim.circuits import (
     CHANNEL,
@@ -225,6 +226,35 @@ def test_the_decoder_is_time_invariant(stages, convention, v_delayed):
         for tick in (1, 37, enc.dT):
             shifted = PhotonState({(port, p, t + tick): a for (port, p, t), a in response.amplitudes.items()})
             assert _exact(run(decoder, PhotonState({(CHANNEL, pol, tick): 1.0}))) == _exact(shifted)
+
+
+def test_one_run_on_both_basis_inputs_splits_into_the_two_runs():
+    # correction_table runs each device once, on a unit H amplitude at tick 0 and
+    # a unit V amplitude at tick 1 + the sum of the element ticks
+    rng = np.random.default_rng(53)
+    outcomes = {"equal": 0, "raised": 0}
+    for _ in range(500):
+        circuit = random_circuit(rng)
+        span = 1 + sum(el.ticks for el in circuit.elements)
+        assert analysis._span(circuit) == span
+        alone = []
+        for pol in ("H", "V"):
+            try:
+                alone.append(run(circuit, PhotonState({(circuit.input, pol, 0): 1.0})))
+            except ConventionError:
+                alone.append(None)
+        try:
+            both = run(circuit, analysis._both_inputs(circuit.input, span)).amplitudes
+        except ConventionError:
+            assert None in alone
+            outcomes["raised"] += 1
+            continue
+        assert None not in alone
+        h = PhotonState._from_clean({mode: a for mode, a in both.items() if mode[2] < span})
+        v = PhotonState._from_clean({(ch, pol, t - span): a for (ch, pol, t), a in both.items() if t >= span})
+        assert _exact(h) == _exact(alone[0]) and _exact(v) == _exact(alone[1])
+        outcomes["equal"] += 1
+    assert outcomes["raised"] >= 5 and outcomes["equal"] >= 400
 
 
 def test_physical_splitter_leaks_half():

@@ -3,7 +3,10 @@ the package imports numpy.random, and no module sets the encoder's group delay.
 
 The repository has no linter; this is the one check of pyflakes' F401 it
 needs, written with ``ast``, over every module of ``src/``, ``tests/`` and
-``demos/``. The re-exports of ``__init__.py`` are the package's API, and an
+``demos/``. Its twin for definitions: every private name a package module
+defines at module level is read somewhere in ``src/``, ``tests/``,
+``demos/`` or ``perfbench/``, so a table or helper that lost its last
+reader shows. The re-exports of ``__init__.py`` are the package's API, and an
 import whose line carries ``# noqa: F401`` is kept on purpose (``qkd``
 binds ``run`` and ``_apply_collective_noise`` for the per-pulse oracle and
 the benchmark's tracer). Every draw reads the counter-based stream of
@@ -24,6 +27,7 @@ import timebinsim
 PACKAGE = sorted(Path(timebinsim.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for folder in ("src", "tests", "demos") for p in (ROOT / folder).rglob("*.py"))
+READERS = SOURCES + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -67,6 +71,53 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Name -> line of each private name (one leading underscore) that ``source``
+    binds at module level by a def, a class or an assignment."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [(name.id, name.lineno) for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            bound = []
+        found.update((name, line) for name, line in bound if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def names_read(source: str) -> set[str]:
+    """Every name ``source`` loads, reads as an attribute or imports from a module."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_the_check_finds_an_unread_private_name():
+    source = ("_A = 1\n_B, (_C, d) = 2, (3, 4)\n_E: int = _A\n__all__ = []\n"
+              "def _f():\n    _local = 5\n    return _local\nclass _G:\n    _h = 6\n"
+              "def g():\n    return mod._C\n")
+    defined = private_definitions(source)
+    assert defined == {"_A": 1, "_B": 2, "_C": 2, "_E": 3, "_f": 5, "_G": 8}
+    assert sorted(name for name in defined if name not in names_read(source)) == ["_B", "_E", "_G", "_f"]
+    assert "_B" in names_read("from .m import _B\n")
+
+
+def test_every_private_module_level_name_is_read():
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in READERS))
+    unread = {p.name: sorted(name for name in private_definitions(p.read_text(encoding="utf-8")) if name not in read)
+              for p in PACKAGE}
+    assert {module: names for module, names in unread.items() if names} == {}
 
 
 def numpy_random_references(source: str) -> list[int]:

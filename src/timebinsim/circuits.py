@@ -204,6 +204,26 @@ def check_compatible(encoder: EncoderSpec, decoder: DecoderSpec):
         )
 
 
+# The elements of both devices that no spec field sets, built once: a build
+# constructs only the delays that carry ``dT`` and ``dTprime`` and the
+# decoder's recombiner. Elements are frozen, so every circuit can share them.
+_ENCODER_HEAD = (
+    Element("pbs", ("in",), ("s", "l")),
+    Element("hwp", ("l",), ("l",)),
+    Element("phase", ("l",), ("l",), phi=ENCODER_ARM_PHASE),
+    Element("delay", ("l",), ("l",), ticks=1),
+)
+_ENCODER_FANOUT = {c: Element("bs", ("s", "l"), ("1", "2"), convention=c) for c in BsConvention}
+#: Both ports' splitters, stage by stage: the first 2 * stages are a cascade's.
+_ENCODER_SPLITS = tuple(Element("split", (port,), (port,), ticks=2 ** stage)
+                        for stage in range(1, MAX_STAGES + 1) for port in ("1", "2"))
+_ENCODER_V_ARM = Element("hwp", ("2",), ("2",))
+_ENCODER_MERGE = Element("pbs", ("1", "2"), (CHANNEL,))
+_DECODER_SORT = Element("pbs", (CHANNEL,), ("h", "v"))
+_DECODER_JOIN = Element("pbs", ("h", "v"), ("mid",))
+_DECODER_OUT = Element("pbs", ("sp", "lp"), (PORT_ALT, PORT_MAIN))
+
+
 def build_encoder(spec: EncoderSpec) -> Circuit:
     """The splitting chain of the sender.
 
@@ -214,21 +234,15 @@ def build_encoder(spec: EncoderSpec) -> Circuit:
     intervals, and port "2" is rotated to V and delayed ``dT`` before the
     polarizing merge onto the fiber.
     """
-    els = [
-        Element("pbs", ("in",), ("s", "l")),
-        Element("hwp", ("l",), ("l",)),
-        Element("phase", ("l",), ("l",), phi=ENCODER_ARM_PHASE),
-        Element("delay", ("l",), ("l",), ticks=1),
-        Element("bs", ("s", "l"), ("1", "2"), convention=spec.convention),
-    ]
-    for stage in range(1, spec.stages + 1):
-        interval = 2 ** stage
-        els.append(Element("split", ("1",), ("1",), ticks=interval))
-        els.append(Element("split", ("2",), ("2",), ticks=interval))
-    els.append(Element("hwp", ("2",), ("2",)))
-    els.append(Element("delay", ("2",), ("2",), ticks=spec.dT))
-    els.append(Element("pbs", ("1", "2"), (CHANNEL,)))
-    return Circuit("in", tuple(els), (CHANNEL,))
+    els = (
+        *_ENCODER_HEAD,
+        _ENCODER_FANOUT[spec.convention],
+        *_ENCODER_SPLITS[:2 * spec.stages],
+        _ENCODER_V_ARM,
+        Element("delay", ("2",), ("2",), ticks=spec.dT),
+        _ENCODER_MERGE,
+    )
+    return Circuit("in", els, (CHANNEL,))
 
 
 def recombiner_elements(convention: BsConvention) -> tuple[Element, ...]:
@@ -236,7 +250,8 @@ def recombiner_elements(convention: BsConvention) -> tuple[Element, ...]:
 
     Runs channel "mid" into arms "sp" (short, polarization-flipped) and
     "lp" (long, phase-compensated, one tick late). The state on the two
-    arms is exactly what meets the final polarizing merge.
+    arms is exactly what meets the final polarizing merge. Built on every
+    call, so it reads ``DECODER_ARM_PHASE`` as it stands.
     """
     return (
         Element("bs", ("mid",), ("sp", "lp"), convention=convention),
@@ -253,14 +268,14 @@ def build_decoder(spec: DecoderSpec) -> Circuit:
     An H-polarized group reassembles its qubit entirely on port "5", a
     V-polarized group entirely on port "6".
     """
-    els = [
-        Element("pbs", (CHANNEL,), ("h", "v")),
+    els = (
+        _DECODER_SORT,
         Element("delay", ("v",), ("v",), ticks=spec.dTprime),
-        Element("pbs", ("h", "v"), ("mid",)),
+        _DECODER_JOIN,
         *recombiner_elements(spec.convention),
-        Element("pbs", ("sp", "lp"), (PORT_ALT, PORT_MAIN)),
-    ]
-    return Circuit(CHANNEL, tuple(els), (PORT_MAIN, PORT_ALT))
+        _DECODER_OUT,
+    )
+    return Circuit(CHANNEL, els, (PORT_MAIN, PORT_ALT))
 
 
 def physical_splitter_elements(

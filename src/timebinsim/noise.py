@@ -90,6 +90,16 @@ def dephasing(phi: float) -> NoiseEnsemble:
 
 def _mix64(x):
     # splitmix64 finalizer: cheap, stable, well-distributed; on ints or uint64 arrays
+    if isinstance(x, np.ndarray):
+        # uint64 arithmetic wraps by itself, so no mask; in place on one fresh
+        # buffer, never on the caller's array
+        y = x >> 30
+        y ^= x
+        y *= 0xBF58476D1CE4E5B9
+        y ^= y >> 27
+        y *= 0x94D049BB133111EB
+        y ^= y >> 31
+        return y
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
     return x ^ (x >> 31)

@@ -105,10 +105,11 @@ def effective_efficiency(stages: int, eta: float) -> float:
 #: holds O(_BLOCK_PULSES) numbers whatever the cascade depth.
 _BLOCK_PULSES = 1 << 12
 
-#: Draw indices of ``_uniform``: Alice's basis, bit and detection draw per
-#: pulse, then Bob's basis and measurement draw per detected pulse.
-_ALICE_DRAWS = np.arange(3, dtype=np.uint64)[:, None]
-_BOB_DRAWS = np.arange(3, 5, dtype=np.uint64)[:, None]
+#: Draw indices of ``_uniform``: Alice's basis, bit and detection draw, then
+#: Bob's basis and measurement draw. A block draws all five for every pulse in
+#: one pass and reads Bob's two at the detected pulses only: the same words a
+#: detected pulse drew alone, since a word depends on (seed, pulse, index) only.
+_DRAWS = np.arange(5, dtype=np.uint64)[:, None]
 
 
 def _derived_seed(master: int, index: int, domain: int = 0) -> int:
@@ -145,6 +146,12 @@ def _detection_events(table: CorrectionTable, gates: dict) -> list:
     return [(slot, _CORRECTIONS.index(gates[key])) for slot, key in enumerate(table.windows) if key in gates]
 
 
+#: Per Pauli of ``_PAULI_MATRICES``, the column of each row's one nonzero entry,
+#: and that entry, shaped (Pauli, row, 1): row i of P @ M is ``units[i] * M[rows[i]]``.
+_PAULI_ROWS = np.abs(_PAULI_MATRICES).argmax(axis=2)
+_PAULI_UNITS = np.take_along_axis(_PAULI_MATRICES, _PAULI_ROWS[:, :, None], axis=2)
+
+
 def _compile_link(table: CorrectionTable) -> tuple[np.ndarray, np.ndarray]:
     """The link's corrected map, bin by accepted bin in ``windows`` order.
 
@@ -156,8 +163,8 @@ def _compile_link(table: CorrectionTable) -> tuple[np.ndarray, np.ndarray]:
     """
     gates = _gate_map(table, table.encoder, table.decoder)
     slots, pauli = (np.array(column, dtype=np.intp) for column in zip(*_detection_events(table, gates)))
-    # einsum, not a BLAS matmul: the Pauli entries are 0, +-1 and +-i, and BLAS would add its buffers
-    return table.slot_branch[slots], np.einsum("sij,sjk->sik", _PAULI_MATRICES[pauli], table.slot_maps[slots])
+    # a Pauli has one unit per row, so P @ M is a gather of M's rows times those units
+    return table.slot_branch[slots], table.slot_maps[slots[:, None], _PAULI_ROWS[pauli]] * _PAULI_UNITS[pauli]
 
 
 def _channel_coefficients(ensemble: NoiseEnsemble, seeds: np.ndarray) -> np.ndarray:
@@ -238,6 +245,9 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
     based uniforms (seed, pulse, draw index) it would draw alone, and each
     channel draw k reads the stream of channel seed
     ``_derived_seed(seed, k, domain=1)``, the same words alone or in a block.
+    A block takes all five draws of every pulse from one ``_uniform`` call;
+    Bob's basis and measurement draws are read at the detected pulses, at
+    the same draw indices a detected pulse reads alone.
     No draw uses numpy's own generators.
 
     A pulse is detected in the bin that holds its detection draw when the
@@ -268,14 +278,13 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
         draw = (pulse // refresh - first).astype(np.intp)
         branch_weight = (np.abs(coefficients) ** 2).take(draw, axis=0).T  # (branch, pulse)
 
-        alice_basis, alice_bit, u = _uniform(cfg.seed, pulse, _ALICE_DRAWS)
+        alice_basis, alice_bit, u, bob_basis, bob_u = _uniform(cfg.seed, pulse, _DRAWS)
         alice_basis, alice_bit = alice_basis < 0.5, alice_bit < 0.5
         state = 2 * alice_basis + alice_bit
         found, hit_bin = _landing_bins(keys, totals, branch_weight, state, u / cfg.eta)
         detected += len(found)
-        bob_basis, bob_u = _uniform(cfg.seed, pulse[found], _BOB_DRAWS)
-        same = (bob_basis < 0.5) == alice_basis[found]
-        found, bob_u, hit_bin = found[same], bob_u[same], hit_bin[same]
+        same = (bob_basis[found] < 0.5) == alice_basis[found]
+        found, hit_bin = found[same], hit_bin[same]
         sifted += len(found)
 
         c_h, c_v = coefficients[draw[found], branch[hit_bin]] * images[state[found], hit_bin].T
@@ -286,7 +295,7 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
         # keeps impossible outcomes impossible despite float residue
         p_one[p_one < 1e-12] = 0.0
         p_one[p_one > 1.0 - 1e-12] = 1.0
-        bob_bit = bob_u < p_one
+        bob_bit = bob_u[found] < p_one
         errors += int(np.count_nonzero(bob_bit != alice_bit[found]))
 
     return Bb84Stats(sent=cfg.pulses, detected=detected, sifted=sifted, errors=errors)

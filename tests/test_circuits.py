@@ -6,11 +6,13 @@ import pytest
 
 from _circgen import random_circuit
 from _oracles import fidelity_with_qubit, qubit_amplitudes, random_state, restrict, superpose
-from timebinsim import analysis
+from timebinsim import analysis, circuits
 from timebinsim.analysis import correction_table
 from timebinsim.circuits import (
     CHANNEL,
     MAX_STAGES,
+    PORT_ALT,
+    PORT_MAIN,
     Circuit,
     CircuitError,
     DecoderSpec,
@@ -305,6 +307,76 @@ def test_decoder_spec_validation():
     check_compatible(EncoderSpec(1), DecoderSpec(16))
     with pytest.raises(CircuitError):
         check_compatible(EncoderSpec(1), DecoderSpec(3))
+
+
+
+def reference_encoder(spec):
+    """``build_encoder`` with every element constructed on the call, in chain order."""
+    els = [
+        Element("pbs", ("in",), ("s", "l")),
+        Element("hwp", ("l",), ("l",)),
+        Element("phase", ("l",), ("l",), phi=circuits.ENCODER_ARM_PHASE),
+        Element("delay", ("l",), ("l",), ticks=1),
+        Element("bs", ("s", "l"), ("1", "2"), convention=spec.convention),
+    ]
+    for stage in range(1, spec.stages + 1):
+        els.append(Element("split", ("1",), ("1",), ticks=2 ** stage))
+        els.append(Element("split", ("2",), ("2",), ticks=2 ** stage))
+    els.append(Element("hwp", ("2",), ("2",)))
+    els.append(Element("delay", ("2",), ("2",), ticks=spec.dT))
+    els.append(Element("pbs", ("1", "2"), (CHANNEL,)))
+    return Circuit("in", tuple(els), (CHANNEL,))
+
+
+def reference_decoder(spec):
+    """``build_decoder`` with every element constructed on the call, in chain order."""
+    els = (
+        Element("pbs", (CHANNEL,), ("h", "v")),
+        Element("delay", ("v",), ("v",), ticks=spec.dTprime),
+        Element("pbs", ("h", "v"), ("mid",)),
+        Element("bs", ("mid",), ("sp", "lp"), convention=spec.convention),
+        Element("hwp", ("sp",), ("sp",)),
+        Element("phase", ("lp",), ("lp",), phi=circuits.DECODER_ARM_PHASE),
+        Element("delay", ("lp",), ("lp",), ticks=1),
+        Element("pbs", ("sp", "lp"), (PORT_ALT, PORT_MAIN)),
+    )
+    return Circuit(CHANNEL, els, (PORT_MAIN, PORT_ALT))
+
+
+@pytest.mark.parametrize("convention", [SYM, SURF])
+def test_builds_from_prebuilt_elements_equal_the_element_by_element_chains(convention):
+    for stages in range(1, MAX_STAGES + 1):
+        encoder = EncoderSpec(stages, convention)
+        assert build_encoder(encoder) == reference_encoder(encoder), stages
+        for dtprime in (0, encoder.bins_per_group + 1):
+            decoder = DecoderSpec(dtprime, convention)
+            assert build_decoder(decoder) == reference_decoder(decoder), (stages, dtprime)
+
+
+def test_a_build_constructs_only_the_elements_its_spec_sets(monkeypatch):
+    # counts work instead of timing it: the encoder builds only its dT delay, the
+    # decoder its dTprime delay and the recombiner, which reads DECODER_ARM_PHASE
+    made = []
+    post_init = Element.__post_init__
+
+    def counted(element):
+        made.append(element.kind)
+        post_init(element)
+
+    monkeypatch.setattr(Element, "__post_init__", counted)
+    for convention in (SYM, SURF):
+        for stages in (1, 4, MAX_STAGES):
+            encoder = EncoderSpec(stages, convention)
+            made.clear()
+            reference_encoder(encoder)  # the counter sees every element built on a call
+            assert len(made) == 2 * stages + 8
+            made.clear()
+            build_encoder(encoder)
+            assert len(made) <= 1, made
+            for dtprime in (0, encoder.bins_per_group + 1):
+                made.clear()
+                build_decoder(DecoderSpec(dtprime, convention))
+                assert len(made) <= 5, made
 
 
 def test_circuit_wiring_validation():

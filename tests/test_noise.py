@@ -247,6 +247,21 @@ def test_derived_seed_over_index_arrays_is_the_scalar_value(master):
         assert batch.tolist() == [qkd._derived_seed(master, i, domain) for i in indices]
 
 
+def test_array_mix64_is_the_int_finalizer_and_leaves_its_argument_alone():
+    words = [0, 1, 2**63, 2**64 - 1]
+    words += np.random.default_rng(5).integers(0, 2**64, size=10**4, dtype=np.uint64, endpoint=False).tolist()
+    expected = [noise._mix64(w) for w in words]
+    assert all(type(w) is int and 0 <= w < 2**64 for w in expected)
+    for shape in ((len(words),), (5, len(words))):
+        x = np.broadcast_to(np.array(words, dtype=np.uint64), shape).copy()
+        before = x.copy()
+        mixed = noise._mix64(x)
+        assert mixed.dtype == np.uint64 and mixed.shape == shape
+        assert all(row == expected for row in mixed.reshape(-1, len(words)).tolist())
+        # the argument is a seed array a caller goes on reading
+        assert x.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
 def test_batch_rejects_seeds_outside_64_bits(seed):
     # the stream hashes the seed as one 64-bit word, so a wider seed would wrap

@@ -6,7 +6,7 @@ import pytest
 from _oracles import detection_events, one_pauli_flipped, sequential_bins
 from timebinsim import qkd
 from timebinsim.analysis import _PAULI_MATRICES, Correction, correction_table
-from timebinsim.circuits import CHANNEL, CircuitError, DecoderSpec, EncoderSpec
+from timebinsim.circuits import CHANNEL, MAX_STAGES, CircuitError, DecoderSpec, EncoderSpec
 from timebinsim.elements import _INV_SQRT2, BsConvention
 from timebinsim.noise import GENERAL, HAAR, IDENTITY, dephasing, random_qubit, sample_noise
 from timebinsim.qkd import Bb84Config, Bb84Stats, effective_efficiency, simulate_bb84
@@ -198,6 +198,25 @@ def test_compiled_link_reads_the_accepted_slots_in_windows_order(convention, sta
     assert (maps + 0.0).tobytes() == (corrected + 0.0).tobytes()
 
 
+@pytest.mark.parametrize("stages", range(1, MAX_STAGES + 1))
+@pytest.mark.parametrize("convention", list(BsConvention))
+def test_gathered_maps_equal_the_einsum_of_each_pauli_and_slot_map(convention, stages):
+    """The gathered P @ M equals the complex einsum under ``==``, and every nonzero real or
+    imaginary part is byte-equal; only the sign of a zero part may differ, where the einsum
+    adds a product with a zero Pauli entry. No count can see that sign: detection weights
+    and ``p_one`` read only squared magnitudes, and a zero part squares to +0 either way.
+    """
+    table = correction_table(EncoderSpec(stages, convention), DecoderSpec(0, convention))
+    accepted = table.slot_correction >= 0
+    _branch, maps = qkd._compile_link(table)
+    reference = np.einsum("sij,sjk->sik", _PAULI_MATRICES[table.slot_correction[accepted]],
+                          table.slot_maps[accepted])
+    assert maps.shape == reference.shape and (maps == reference).all()
+    parts, expected = maps.view(float), reference.view(float)
+    nonzero = expected != 0.0
+    assert parts[nonzero].tobytes() == expected[nonzero].tobytes()
+
+
 #: Each Pauli and the one the benchmark's wrong-correction test swaps it for.
 _FLIPPED = {Correction.IDENTITY: Correction.BIT_FLIP, Correction.BIT_FLIP: Correction.IDENTITY,
             Correction.PHASE_FLIP: Correction.BIT_PHASE_FLIP,
@@ -351,6 +370,24 @@ def test_uniform_stays_below_one(monkeypatch):
     assert type(scalar) is float and scalar == below_one
     batched = qkd._uniform(3, np.arange(4, dtype=np.uint64), np.arange(2, dtype=np.uint64)[:, None])
     assert batched.shape == (2, 4) and (batched == below_one).all()
+
+
+@pytest.mark.parametrize("pulses, blocks", [(1000, 1), (10_000, 3)])
+def test_a_block_draws_every_pulse_in_one_pass(pulses, blocks, monkeypatch):
+    calls = []
+    uniform = qkd._uniform
+
+    def counted(master, pulse, which):
+        calls.append(len(pulse))
+        return uniform(master, pulse, which)
+
+    monkeypatch.setattr(qkd, "_uniform", counted)
+    cfg = Bb84Config(pulses=pulses, ensemble=GENERAL, eta=0.6, seed=9)
+    stats = simulate_bb84(cfg)
+    assert len(calls) == blocks and sum(calls) == pulses
+    monkeypatch.undo()
+    # the per-pulse oracle draws Bob's words only for the pulses it detects
+    assert counts(stats) == reference_bb84(cfg)
 
 
 def test_a_wrong_correction_gives_sifted_errors(monkeypatch):

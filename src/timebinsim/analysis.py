@@ -61,6 +61,10 @@ class BranchId(Enum):
 
 #: The branches in the order of ``NoiseParams.coefficients()``: (d1, g1, d2, g2).
 BRANCHES = (BranchId.P1H, BranchId.P1V, BranchId.P2H, BranchId.P2V)
+#: Each branch's detection port, in ``BRANCHES`` order.
+_PORTS = tuple(branch.port for branch in BRANCHES)
+#: The channel of the decoder's impulse run.
+_IDENTITY = NoiseParams.identity()
 
 
 class Correction(Enum):
@@ -190,13 +194,12 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
     enc_c = build_encoder(encoder)
     dec_c = build_decoder(decoder)
     n = encoder.bins_per_group
-    ports = [branch.port for branch in BRANCHES]
     offsets = [branch.offset(encoder, decoder) for branch in BRANCHES]
     windows = {(port, offset + t): (branch, t)
-               for branch, port, offset in zip(BRANCHES, ports, offsets) for t in range(n + 1)}
+               for branch, port, offset in zip(BRANCHES, _PORTS, offsets) for t in range(n + 1)}
 
     dec_span = _span(dec_c)
-    response = _decode(dec_c, _both_inputs(CHANNEL, dec_span), NoiseParams.identity()).amplitudes
+    response = _decode(dec_c, _both_inputs(CHANNEL, dec_span), _IDENTITY).amplitudes
     # the H input's taps, then the V input's, each in the order of its own run
     taps = [(port, pol, d, r) for (port, pol, d), r in response.items() if d < dec_span]
     taps += [(port, pol, d - dec_span, r) for (port, pol, d), r in response.items() if d >= dec_span]
@@ -214,12 +217,12 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
     # whichever polarization carries it; gain is the tap's amplitude where it lands
     slot_tick = (np.array(offsets)[:, None] + np.arange(n + 1)).ravel()
     reads = train[:, pad + slot_tick - np.array([d for _, _, d, _ in taps])[:, None]]
-    gain = np.zeros((len(taps), len(ports), 2), dtype=complex)
+    gain = np.zeros((len(taps), len(BRANCHES), 2), dtype=complex)
     for k, (port, pol, _, r) in enumerate(taps):
-        for b, p in enumerate(ports):
+        for b, p in enumerate(_PORTS):
             if p == port:
                 gain[k, b, 0 if pol is H else 1] = r
-    maps = np.einsum("ckbt,kbp->btpc", reads.reshape(2, len(taps), len(ports), n + 1), gain)
+    maps = np.einsum("ckbt,kbp->btpc", reads.reshape(2, len(taps), len(BRANCHES), n + 1), gain)
     maps = maps.reshape(-1, 2, 2)
 
     # rank-deficient edge bins have lost information and are discarded, as are the slots

@@ -206,7 +206,7 @@ def check_compatible(encoder: EncoderSpec, decoder: DecoderSpec):
 
 # The elements of both devices that no spec field sets, built once: a build
 # constructs only the delays that carry ``dT`` and ``dTprime`` and the
-# decoder's recombiner. Elements are frozen, so every circuit can share them.
+# recombiner's phase. Elements are frozen, so every circuit can share them.
 _ENCODER_HEAD = (
     Element("pbs", ("in",), ("s", "l")),
     Element("hwp", ("l",), ("l",)),
@@ -222,6 +222,9 @@ _ENCODER_MERGE = Element("pbs", ("1", "2"), (CHANNEL,))
 _DECODER_SORT = Element("pbs", (CHANNEL,), ("h", "v"))
 _DECODER_JOIN = Element("pbs", ("h", "v"), ("mid",))
 _DECODER_OUT = Element("pbs", ("sp", "lp"), (PORT_ALT, PORT_MAIN))
+_RECOMBINER_SPLIT = {c: Element("bs", ("mid",), ("sp", "lp"), convention=c) for c in BsConvention}
+_RECOMBINER_FLIP = Element("hwp", ("sp",), ("sp",))
+_RECOMBINER_DELAY = Element("delay", ("lp",), ("lp",), ticks=1)
 
 
 def build_encoder(spec: EncoderSpec) -> Circuit:
@@ -250,14 +253,15 @@ def recombiner_elements(convention: BsConvention) -> tuple[Element, ...]:
 
     Runs channel "mid" into arms "sp" (short, polarization-flipped) and
     "lp" (long, phase-compensated, one tick late). The state on the two
-    arms is exactly what meets the final polarizing merge. Built on every
-    call, so it reads ``DECODER_ARM_PHASE`` as it stands.
+    arms is exactly what meets the final polarizing merge. Only the phase
+    element is built on every call, so it reads ``DECODER_ARM_PHASE`` as it
+    stands; the splitter, the plate and the delay are shared.
     """
     return (
-        Element("bs", ("mid",), ("sp", "lp"), convention=convention),
-        Element("hwp", ("sp",), ("sp",)),
+        _RECOMBINER_SPLIT[convention],
+        _RECOMBINER_FLIP,
         Element("phase", ("lp",), ("lp",), phi=DECODER_ARM_PHASE),
-        Element("delay", ("lp",), ("lp",), ticks=1),
+        _RECOMBINER_DELAY,
     )
 
 

@@ -92,25 +92,25 @@ class Element:
             raise ValueError("split interval must be >= 1 tick")
 
 
-def _add(amps: dict, mode: tuple, a: complex):
-    if a != 0j:
-        amps[mode] = amps.get(mode, 0j) + a
-
-
 def _apply_pbs(amps: dict, in1, in2, out1, out2) -> dict:
     """Route H straight through (in1->out1, in2->out2) and cross V.
 
     No reflection phase is applied: the element is a permutation of modes.
     ``None`` ports are vacuum inputs or dark outputs.
     """
+    # the kernels skip an exact zero and add get(mode, 0j) + a, also where they
+    # pass a mode through: 0j + a turns a -0.0 part into +0.0, as it always has
     out = {}
-    for (ch, pol, tick), a in amps.items():
-        if ch == in1:
-            ch = out1 if pol is H else out2
-        elif ch == in2:
-            ch = out2 if pol is H else out1
-        if ch is not None:
-            _add(out, (ch, pol, tick), a)
+    get = out.get
+    for mode, a in amps.items():
+        if a != 0j:
+            ch, pol, tick = mode
+            if ch == in1:
+                mode = (out1 if pol is H else out2, pol, tick)
+            elif ch == in2:
+                mode = (out2 if pol is H else out1, pol, tick)
+            if mode[0] is not None:
+                out[mode] = get(mode, 0j) + a
     return out
 
 
@@ -119,33 +119,42 @@ def _apply_bs(amps: dict, in1, in2, out1, out2, convention: BsConvention) -> dic
     # in1 -> out2 reflects off the second surface under the surface-phase
     # convention, hence the sign difference.
     r21 = 1j * _INV_SQRT2 if convention is BsConvention.SYMMETRIC else -1j * _INV_SQRT2
+    surface = convention is BsConvention.SURFACE_PHASES
     out = {}
+    get = out.get
     pairs: dict = {}
-    for (ch, pol, tick), a in amps.items():
+    for mode, a in amps.items():
+        ch, pol, tick = mode
         if ch == in1:
             pairs.setdefault((pol, tick), [0j, 0j])[0] = a
         elif ch == in2:
             pairs.setdefault((pol, tick), [0j, 0j])[1] = a
-        else:
-            _add(out, (ch, pol, tick), a)
+        elif a != 0j:
+            out[mode] = get(mode, 0j) + a
     for (pol, tick), (a1, a2) in pairs.items():
-        if convention is BsConvention.SURFACE_PHASES and a1 != 0j and a2 != 0j:
+        if surface and a1 != 0j and a2 != 0j:
             raise ConventionError(
                 f"surface-phase splitter hit occupied inputs {in1!r} and {in2!r} "
                 f"at the same slot (pol={pol.value}, tick={tick})"
             )
         if out1 is not None:
-            _add(out, (out1, pol, tick), a1 * _INV_SQRT2 + a2 * (1j * _INV_SQRT2))
+            a = a1 * _INV_SQRT2 + a2 * (1j * _INV_SQRT2)
+            if a != 0j:
+                mode = (out1, pol, tick)
+                out[mode] = get(mode, 0j) + a
         if out2 is not None:
-            _add(out, (out2, pol, tick), a1 * r21 + a2 * _INV_SQRT2)
+            a = a1 * r21 + a2 * _INV_SQRT2
+            if a != 0j:
+                mode = (out2, pol, tick)
+                out[mode] = get(mode, 0j) + a
     return out
 
 
 def _apply_hwp(amps: dict, channel: str) -> dict:
     """Swap H and V on a channel at every tick (the bit-flip plate)."""
     return {
-        ((ch, V if pol is H else H, tick) if ch == channel else (ch, pol, tick)): a
-        for (ch, pol, tick), a in amps.items()
+        ((channel, V if mode[1] is H else H, mode[2]) if mode[0] == channel else mode): a
+        for mode, a in amps.items()
     }
 
 
@@ -156,10 +165,12 @@ def _apply_phase(amps: dict, channel: str, phi: float) -> dict:
 
 
 def _apply_delay(amps: dict, channel: str, ticks: int) -> dict:
-    """Shift every amplitude on a channel later by a tick count >= 0."""
+    """Shift every amplitude on a channel later by a tick count >= 0; 0 returns ``amps``."""
+    if ticks == 0:
+        return amps
     return {
-        ((ch, pol, tick + ticks) if ch == channel else (ch, pol, tick)): a
-        for (ch, pol, tick), a in amps.items()
+        ((channel, mode[1], mode[2] + ticks) if mode[0] == channel else mode): a
+        for mode, a in amps.items()
     }
 
 
@@ -173,13 +184,16 @@ def _apply_timebin_splitter(amps: dict, channel: str, ticks: int) -> dict:
     add and interfere.
     """
     out = {}
-    for (ch, pol, tick), a in amps.items():
-        if ch == channel:
+    get = out.get
+    for mode, a in amps.items():
+        if mode[0] == channel:
             half = a * _INV_SQRT2
-            _add(out, (ch, pol, tick), half)
-            _add(out, (ch, pol, tick + ticks), half)
-        else:
-            _add(out, (ch, pol, tick), a)
+            if half != 0j:
+                out[mode] = get(mode, 0j) + half
+                mode = (channel, mode[1], mode[2] + ticks)
+                out[mode] = get(mode, 0j) + half
+        elif a != 0j:
+            out[mode] = get(mode, 0j) + a
     return out
 
 

@@ -40,6 +40,8 @@ _BB84_STATES = (
     (QubitSpec.horizontal(), QubitSpec.vertical()),
     (QubitSpec.diagonal(), QubitSpec.antidiagonal()),
 )
+#: (alpha, beta) of Alice's states, indexed 2 * basis + bit.
+_BB84_QUBITS = np.array([(q.alpha, q.beta) for pair in _BB84_STATES for q in pair])
 
 
 @dataclass(frozen=True)
@@ -123,11 +125,12 @@ def _uniform(master: int, pulse, which):
     ``pulse`` and ``which`` are ints or uint64 arrays that broadcast
     together; each pulse's seed is derived once for all its draw indices.
     """
-    u = _mix64(_derived_seed(master, pulse) ^ (0x632BE59BD9B4E019 * (which + 1) & _MASK64)) / 2.0 ** 64
+    words = _mix64(_derived_seed(master, pulse) ^ (0x632BE59BD9B4E019 * (which + 1) & _MASK64))
     # a word of 2**64 - 1024 or more rounds to 1.0, which would make a certain
     # outcome (u < 1.0) fail: it becomes the largest double below 1, and an
     # int pulse still gets a Python float
-    return u - (u == 1.0) * 2.0 ** -53
+    u = words * 2.0 ** -64
+    return np.minimum(u, 1.0 - 2.0 ** -53, out=u) if isinstance(u, np.ndarray) else min(u, 1.0 - 2.0 ** -53)
 
 
 def _gate_map(table: CorrectionTable, encoder, decoder) -> dict:
@@ -261,8 +264,7 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
     table = correction_table(encoder, DecoderSpec(0, cfg.convention))
     branch, maps = _compile_link(table)
     # corrected amplitudes per (Alice's state 2 * basis + bit, bin, H/V) at unit coefficient
-    qubits = np.array([(q.alpha, q.beta) for pair in _BB84_STATES for q in pair])
-    images = np.einsum("jab,sb->sja", maps, qubits)
+    images = np.einsum("jab,sb->sja", maps, _BB84_QUBITS)
     weights = (np.abs(images) ** 2).sum(axis=2).T  # (bin, state) probability at unit coefficient
     keys, totals = _link_keys(branch, weights)
 
@@ -272,8 +274,10 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
     for start in range(0, cfg.pulses, _BLOCK_PULSES):
         pulse = np.arange(start, min(start + _BLOCK_PULSES, cfg.pulses), dtype=np.uint64)
         first, last = start // refresh, int(pulse[-1]) // refresh
-        # a draw that straddles two blocks is drawn again: the draws are pure
-        seeds = _derived_seed(cfg.seed, np.arange(first, last + 1, dtype=np.uint64), domain=1)
+        # a draw that straddles two blocks is drawn again: the draws are pure; one
+        # draw takes the int path, not a dozen ufunc calls on a 1-element array
+        index = first if first == last else np.arange(first, last + 1, dtype=np.uint64)
+        seeds = np.array(_derived_seed(cfg.seed, index, domain=1), dtype=np.uint64, ndmin=1)
         coefficients = _channel_coefficients(cfg.ensemble, seeds)  # (draw, branch)
         draw = (pulse // refresh - first).astype(np.intp)
         branch_weight = (np.abs(coefficients) ** 2).take(draw, axis=0).T  # (branch, pulse)

@@ -11,7 +11,8 @@ Each one checks package code from outside it:
 - ``csv_rows``: one row per bin, for the bins that ``analysis.analyze`` files under a branch;
 - ``detection_events``: the corrected accepted bins of an interpreted state, for ``qkd``'s compiled link;
 - ``sequential_bins``: the bin-by-bin walk of detection sampling, for ``qkd``'s two-level sampler;
-- ``one_pauli_flipped``: a wrong correction, for the tests that ``qkd`` counts must see it.
+- ``one_pauli_flipped``: a wrong correction, for the tests that ``qkd`` counts must see it;
+- ``REFERENCE_KERNELS``: the element kernels one amplitude at a time, for ``elements``' own.
 """
 
 import math
@@ -20,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from timebinsim.analysis import BranchReport, Correction, _slots
-from timebinsim.elements import _INV_SQRT2, BsConvention
+from timebinsim.elements import _INV_SQRT2, BsConvention, ConventionError
 from timebinsim.noise import NoiseParams
 from timebinsim.state import H, V, PhotonState, QubitSpec
 
@@ -151,3 +152,83 @@ def one_pauli_flipped(gate_map):
         gates[key] = Correction.BIT_FLIP if gates[key] is Correction.IDENTITY else Correction.IDENTITY
         return gates
     return flipped
+
+
+# -- the element kernels one amplitude at a time -----------------------------
+# Every output amplitude goes through _add, and every output key is a new tuple.
+
+def _add(amps: dict, mode: tuple, a: complex):
+    if a != 0j:
+        amps[mode] = amps.get(mode, 0j) + a
+
+
+def _apply_pbs(amps: dict, in1, in2, out1, out2) -> dict:
+    out = {}
+    for (ch, pol, tick), a in amps.items():
+        if ch == in1:
+            ch = out1 if pol is H else out2
+        elif ch == in2:
+            ch = out2 if pol is H else out1
+        if ch is not None:
+            _add(out, (ch, pol, tick), a)
+    return out
+
+
+def _apply_bs(amps: dict, in1, in2, out1, out2, convention: BsConvention) -> dict:
+    r21 = 1j * _INV_SQRT2 if convention is BsConvention.SYMMETRIC else -1j * _INV_SQRT2
+    out = {}
+    pairs: dict = {}
+    for (ch, pol, tick), a in amps.items():
+        if ch == in1:
+            pairs.setdefault((pol, tick), [0j, 0j])[0] = a
+        elif ch == in2:
+            pairs.setdefault((pol, tick), [0j, 0j])[1] = a
+        else:
+            _add(out, (ch, pol, tick), a)
+    for (pol, tick), (a1, a2) in pairs.items():
+        if convention is BsConvention.SURFACE_PHASES and a1 != 0j and a2 != 0j:
+            raise ConventionError(
+                f"surface-phase splitter hit occupied inputs {in1!r} and {in2!r} "
+                f"at the same slot (pol={pol.value}, tick={tick})"
+            )
+        if out1 is not None:
+            _add(out, (out1, pol, tick), a1 * _INV_SQRT2 + a2 * (1j * _INV_SQRT2))
+        if out2 is not None:
+            _add(out, (out2, pol, tick), a1 * r21 + a2 * _INV_SQRT2)
+    return out
+
+
+def _apply_hwp(amps: dict, channel: str) -> dict:
+    return {
+        ((ch, V if pol is H else H, tick) if ch == channel else (ch, pol, tick)): a
+        for (ch, pol, tick), a in amps.items()
+    }
+
+
+def _apply_delay(amps: dict, channel: str, ticks: int) -> dict:
+    return {
+        ((ch, pol, tick + ticks) if ch == channel else (ch, pol, tick)): a
+        for (ch, pol, tick), a in amps.items()
+    }
+
+
+def _apply_timebin_splitter(amps: dict, channel: str, ticks: int) -> dict:
+    out = {}
+    for (ch, pol, tick), a in amps.items():
+        if ch == channel:
+            half = a * _INV_SQRT2
+            _add(out, (ch, pol, tick), half)
+            _add(out, (ch, pol, tick + ticks), half)
+        else:
+            _add(out, (ch, pol, tick), a)
+    return out
+
+
+#: ``circuits``' kernel names -> the reference kernels above.
+REFERENCE_KERNELS = {
+    "_apply_pbs": _apply_pbs,
+    "_apply_bs": _apply_bs,
+    "_apply_hwp": _apply_hwp,
+    "_apply_delay": _apply_delay,
+    "_apply_timebin_splitter": _apply_timebin_splitter,
+}

@@ -361,15 +361,17 @@ def test_uniform_over_pulse_arrays_is_the_scalar_stream(seed):
 
 
 def test_uniform_stays_below_one(monkeypatch):
-    # (2**64 - 1) / 2.0**64 rounds to 1.0; u < p_one must hold for p_one = 1
-    top = 2**64 - 1
-    monkeypatch.setattr(qkd, "_mix64", lambda x: np.full(np.shape(x), top, dtype=np.uint64)
-                        if isinstance(x, np.ndarray) else top)
+    # a word from 2**64 - 1024 on rounds to 1.0 and is clamped; the one below
+    # is already the largest double below 1. u < p_one must hold for p_one = 1
     below_one = np.nextafter(1.0, 0.0)
-    scalar = qkd._uniform(3, 5, 4)
-    assert type(scalar) is float and scalar == below_one
-    batched = qkd._uniform(3, np.arange(4, dtype=np.uint64), np.arange(2, dtype=np.uint64)[:, None])
-    assert batched.shape == (2, 4) and (batched == below_one).all()
+    for word, rounds_to_one in ((2**64 - 1025, False), (2**64 - 1024, True), (2**64 - 1, True)):
+        assert (word / 2.0**64 == 1.0) is rounds_to_one
+        monkeypatch.setattr(qkd, "_mix64", lambda x, word=word: np.full(np.shape(x), word, dtype=np.uint64)
+                            if isinstance(x, np.ndarray) else word)
+        scalar = qkd._uniform(3, 5, 4)
+        assert type(scalar) is float and scalar == below_one, word
+        batched = qkd._uniform(3, np.arange(4, dtype=np.uint64), np.arange(2, dtype=np.uint64)[:, None])
+        assert batched.shape == (2, 4) and (batched == below_one).all(), word
 
 
 @pytest.mark.parametrize("pulses, blocks", [(1000, 1), (10_000, 3)])

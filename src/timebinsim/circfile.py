@@ -69,6 +69,8 @@ def _parse_element(lineno: int, tokens: list[str]) -> Element:
     if "->" not in tokens:
         raise CircuitTextError(lineno, f"{kind}: missing '->' between inputs and outputs")
     arrow = tokens.index("->")
+    if "->" in tokens[arrow + 1:]:
+        raise CircuitTextError(lineno, f"{kind}: more than one '->'")
     ins = tuple(tokens[1:arrow])
     rest = tokens[arrow + 1:]
     outs = []
@@ -117,6 +119,8 @@ def parse_circuit(text: str) -> Circuit:
         head = tokens[0]
         if outputs is not None:
             raise CircuitTextError(lineno, "content after the output line")
+        if head in ("input", "output") and "->" in tokens:
+            raise CircuitTextError(lineno, f"{head}: '->' is not a channel name")
         if head == "input":
             if input_channel is not None:
                 raise CircuitTextError(lineno, f"duplicate input line (first on line {input_line})")

@@ -3,15 +3,15 @@
 Each pulse carries one of the four BB84 states through the full
 encode/corrupt/decode chain. The link is read once off the correction
 table, as each accepted slot's 2x2 map times the Pauli that undoes it,
-and a block of pulses is evaluated through it at once; a block's channel
-draws are one evaluation of the noise module's counter-based stream over
-an array of channel seeds. Detection is sampled from
-the exact corrected bin probabilities scaled by the baseline detector
-efficiency, branch then bin: a pulse's branch from the four masses its
-channel draw gives the branches, then its bin within the branch by one
-binary search of the link's cumulative bin weights, so a block costs a
-fixed number of array operations at any depth. The receiver measures in
-a random basis.
+and so is Bob's chance of reading 1, as a (state, bin) table; a block's
+channel draws, one evaluation of the noise module's counter-based stream
+over an array of channel seeds, enter only as the branch weights |c|^2.
+Detection is sampled from the exact corrected bin probabilities scaled
+by the baseline detector efficiency, branch then bin: a pulse's branch
+from the four masses its channel draw gives the branches, then its bin
+within the branch by one binary search of the link's cumulative bin
+weights, so a block costs a fixed number of array operations at any
+depth. The receiver measures in a random basis.
 Because every accepted bin reconstructs the sent state exactly, sifted
 errors are structurally impossible: the error rate is zero, not small,
 for every channel draw. The only cost is the discarded edge bins, which
@@ -31,8 +31,8 @@ from .circuits import DecoderSpec, EncoderSpec
 # tests/test_qkd.py and for the benchmark's tracer (perfbench/spans.py).
 from .circuits import run  # noqa: F401
 from .elements import _INV_SQRT2, BsConvention
-from .noise import (_MASK64, HAAR, NoiseEnsemble, _apply_collective_noise,  # noqa: F401
-                    _mix64, sample_coefficients, sample_noise)
+from .noise import _MASK64, HAAR, NoiseEnsemble, _mix64, sample_coefficients, sample_noise
+from .noise import _apply_collective_noise  # noqa: F401
 from .state import QubitSpec
 
 #: Alice's states, indexed [basis][bit]; basis 0 is H/V, basis 1 diagonal.
@@ -250,7 +250,9 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
     ``_derived_seed(seed, k, domain=1)``, the same words alone or in a block.
     A block takes all five draws of every pulse from one ``_uniform`` call;
     Bob's basis and measurement draws are read at the detected pulses, at
-    the same draw indices a detected pulse reads alone.
+    the same draw indices a detected pulse reads alone, and Bob's bit is
+    read off the link's clamped (state, bin) table. A block reads the channel
+    only as the branch weights |c|^2 that pick each pulse's bin.
     No draw uses numpy's own generators.
 
     A pulse is detected in the bin that holds its detection draw when the
@@ -267,6 +269,13 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
     images = np.einsum("jab,sb->sja", maps, _BB84_QUBITS)
     weights = (np.abs(images) ** 2).sum(axis=2).T  # (bin, state) probability at unit coefficient
     keys, totals = _link_keys(branch, weights)
+    # (state, bin) chance that Bob reads 1: |V|^2 in the H/V basis, |(H - V)/sqrt2|^2 in the diagonal
+    # one, over the bin's weight, so the coefficient that scales the bin cancels. Residues below 1e-12
+    # are exact zeros physically; clamping keeps impossible outcomes impossible
+    c_h, c_v = np.moveaxis(images, 2, 0)
+    p_one = np.abs(np.concatenate([c_v[:2], (c_h[2:] - c_v[2:]) * _INV_SQRT2])) ** 2 / weights.T
+    p_one[p_one < 1e-12] = 0.0
+    p_one[p_one > 1.0 - 1e-12] = 1.0
 
     # the same draws as cfg.refresh_every, small enough for uint64 arithmetic
     refresh = min(cfg.refresh_every, cfg.pulses)
@@ -291,15 +300,6 @@ def simulate_bb84(cfg: Bb84Config) -> Bb84Stats:
         found, hit_bin = found[same], hit_bin[same]
         sifted += len(found)
 
-        c_h, c_v = coefficients[draw[found], branch[hit_bin]] * images[state[found], hit_bin].T
-        norm = np.abs(c_h) ** 2 + np.abs(c_v) ** 2
-        p_one = np.where(alice_basis[found], np.abs((c_h - c_v) * _INV_SQRT2) ** 2,
-                         np.abs(c_v) ** 2) / norm
-        # amplitudes below tolerance are exact zeros physically; clamping
-        # keeps impossible outcomes impossible despite float residue
-        p_one[p_one < 1e-12] = 0.0
-        p_one[p_one > 1.0 - 1e-12] = 1.0
-        bob_bit = bob_u[found] < p_one
-        errors += int(np.count_nonzero(bob_bit != alice_bit[found]))
+        errors += int(np.count_nonzero((bob_u[found] < p_one[state[found], hit_bin]) != alice_bit[found]))
 
     return Bb84Stats(sent=cfg.pulses, detected=detected, sifted=sifted, errors=errors)

@@ -12,6 +12,7 @@ Each one checks package code from outside it:
 - ``detection_events``: the corrected accepted bins of an interpreted state, for ``qkd``'s compiled link;
 - ``sequential_bins``: the bin-by-bin walk of detection sampling, for ``qkd``'s two-level sampler;
 - ``one_pauli_flipped``: a wrong correction, for the tests that ``qkd`` counts must see it;
+- ``binomial_cdf``, ``ks_uniform``: exact count laws and their KS distance, for ``qkd``'s counts;
 - ``REFERENCE_KERNELS``: the element kernels one amplitude at a time, for ``elements``' own.
 """
 
@@ -143,15 +144,36 @@ def sequential_bins(branch, weights, branch_weight, state, u):
     return hit
 
 
-def one_pauli_flipped(gate_map):
-    """``gate_map``, a ``qkd._gate_map``, with its first accepted bin's Pauli
-    swapped I <-> X, or set to I if it is Z or Y."""
+def one_pauli_flipped(gate_map, middle: bool = False):
+    """``gate_map``, a ``qkd._gate_map``, with one accepted bin's Pauli swapped
+    I <-> X, or set to I if it is Z or Y: the first bin by (port, tick), which
+    is the link's first, or with ``middle`` the median one, inside the link."""
     def flipped(table, encoder, decoder):
         gates = gate_map(table, encoder, decoder)
-        key = min(gates)
+        key = sorted(gates)[len(gates) // 2] if middle else min(gates)
         gates[key] = Correction.BIT_FLIP if gates[key] is Correction.IDENTITY else Correction.IDENTITY
         return gates
     return flipped
+
+
+def binomial_cdf(n: int, p: float) -> list[float]:
+    """``P(X <= k)`` for k = 0..n, X ~ Binomial(n, p) with 0 < p < 1, from the exact pmf.
+
+    Each log pmf term is taken with ``math.lgamma``; the terms are summed
+    relative to the largest, so no tail underflows before it is added.
+    """
+    logs = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            + k * math.log(p) + (n - k) * math.log1p(-p) for k in range(n + 1)]
+    top = max(logs)
+    return np.minimum(math.exp(top) * np.cumsum([math.exp(term - top) for term in logs]), 1.0).tolist()
+
+
+def ks_uniform(u) -> float:
+    """sqrt(m) times the Kolmogorov-Smirnov distance of ``m`` values from U(0, 1)."""
+    u = np.sort(np.asarray(u, dtype=float))
+    m = len(u)
+    rank = np.arange(1, m + 1)
+    return math.sqrt(m) * max((rank / m - u).max(), (u - (rank - 1) / m).max())
 
 
 # -- the element kernels one amplitude at a time -----------------------------

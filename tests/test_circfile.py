@@ -98,6 +98,18 @@ def test_error_missing_arrow():
     assert err.value.line == 2
 
 
+def test_error_arrow_as_a_channel():
+    # a second arrow, or one in an input or output line, would be read as a channel named '->'
+    for text, line, message in (("input a\npbs a -> -> b\noutput b\n", 2, "more than one '->'"),
+                                ("input a\nhwp a -> b -> c\noutput c\n", 2, "more than one '->'"),
+                                ("input ->\nhwp -> -> a\noutput a\n", 1, "input: '->' is not"),
+                                ("input a\nhwp a -> b\noutput b ->\n", 3, "output: '->' is not"),
+                                ("input a\npbs a -> -> b\noutput b ->\n", 2, "more than one '->'")):
+        with pytest.raises(CircuitTextError, match=message) as err:
+            parse_circuit(text)
+        assert err.value.line == line, text
+
+
 def test_error_duplicate_input():
     with pytest.raises(CircuitTextError) as err:
         parse_circuit("input a\ninput b\nhwp a -> a\noutput a\n")

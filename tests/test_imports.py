@@ -9,12 +9,13 @@ defines at module level is read somewhere in ``src/``, ``tests/``,
 reader shows. The re-exports of ``__init__.py`` are the package's API, and an
 import whose line carries ``# noqa: F401`` is kept on purpose (``qkd``
 binds ``run`` and ``_apply_collective_noise`` for the per-pulse oracle and
-the benchmark's tracer). Every draw reads the counter-based stream of
-``noise._words``, so no package module refers to ``numpy.random``, whose
-import costs 15-20 ms and its memory. The group
-delay ``EncoderSpec.dT`` is derived from the depth; ``encoder_spec_for`` is
-an alias kept only for the benchmark, so nothing under ``src/``, ``tests/``
-or ``demos/`` calls it.
+the benchmark's tracer); such a line binds one name, or the check reports
+it, since the exemption would hide every other name on it. Every draw
+reads the counter-based stream of ``noise._words``, so no package module
+refers to ``numpy.random``, whose import costs 15-20 ms and its memory.
+The group delay ``EncoderSpec.dT`` is derived from the depth;
+``encoder_spec_for`` is an alias kept only for the benchmark, so nothing
+under ``src/``, ``tests/`` or ``demos/`` calls it.
 """
 
 import ast
@@ -34,20 +35,26 @@ def unused_imports(source: str) -> list[str]:
     """Names bound by a module-level import of ``source`` that nothing in it reads."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    bound = {}
+    bound, exempt = {}, {}
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if "# noqa: F401" not in lines[alias.lineno - 1]:
-                    bound[alias.asname or alias.name.split(".")[0]] = alias.lineno
+                name = alias.asname or alias.name.split(".")[0]
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    exempt.setdefault(alias.lineno, []).append(name)
+                else:
+                    bound[name] = alias.lineno
     # a quoted annotation such as -> "PhotonState" reads the names in its text
     annotations = [ast.parse(text.value, mode="eval") for node in ast.walk(tree)
                    for annotation in _annotations(node) for text in ast.walk(annotation)
                    if isinstance(text, ast.Constant) and isinstance(text.value, str)]
     used = {node.id for root in (tree, *annotations) for node in ast.walk(root) if isinstance(node, ast.Name)}
-    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+    # a noqa exempts one name; on a line of several it would hide the others
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used] + \
+        [f"{', '.join(names)} (line {line}: one noqa, {len(names)} names)"
+         for line, names in exempt.items() if len(names) > 1]
 
 
 def _annotations(node: ast.AST) -> list:
@@ -64,8 +71,10 @@ def test_the_check_finds_an_unused_import():
     source = ("import os\nimport sys\nfrom math import pi, tau\nfrom json import dumps  # noqa: F401\n"
               "from re import Match, Pattern\n"
               "def f(x: 'Match') -> str:\n    return 'Pattern'\n"
-              "sys.exit(pi)\n")
-    assert unused_imports(source) == ["os (line 1)", "tau (line 3)", "Pattern (line 5)"]
+              "sys.exit(pi)\n"
+              "from json import (loads,  # noqa: F401\n    load)\nfrom csv import reader, writer as w  # noqa: F401\n")
+    assert unused_imports(source) == ["os (line 1)", "tau (line 3)", "Pattern (line 5)", "load (line 10)",
+                                      "reader, w (line 11: one noqa, 2 names)"]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)

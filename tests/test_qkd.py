@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from _oracles import detection_events, one_pauli_flipped, sequential_bins
+from _oracles import binomial_cdf, detection_events, ks_uniform, one_pauli_flipped, sequential_bins
 from timebinsim import qkd
 from timebinsim.analysis import _PAULI_MATRICES, Correction, correction_table
 from timebinsim.circuits import CHANNEL, MAX_STAGES, CircuitError, DecoderSpec, EncoderSpec
@@ -154,6 +156,43 @@ def test_surface_convention_also_error_free():
     )
     assert stats.qber == 0.0
     assert stats.detected > 0
+
+
+def test_binomial_cdf_is_the_exact_sum():
+    for n, p in ((1, 0.5), (30, 0.3), (200, 0.45)):
+        pmf = (math.comb(n, k) * Fraction(p) ** k * (1 - Fraction(p)) ** (n - k) for k in range(n + 1))
+        assert binomial_cdf(n, p) == pytest.approx([float(c) for c in accumulate(pmf)], abs=1e-13)
+
+
+def _randomized_pit(rng, cdf, x):
+    """A uniform draw on [F(x - 1), F(x)): exactly U(0, 1) when x follows ``cdf``."""
+    below = cdf[x - 1] if x else 0.0
+    return below + rng.random() * (cdf[x] - below)
+
+
+#: sqrt(m) times the KS distance that m uniforms exceed with chance 1 %, for large m.
+_KS_1_PERCENT = 1.63
+
+
+@pytest.mark.parametrize("stages", [1, 3])
+def test_counts_follow_their_exact_laws(stages):
+    """Across 300 seeds, detected ~ Binomial(n, eta (N - 1)/N) and sifted given detected
+    ~ Binomial(d, 1/2), by the KS distance of their randomized PIT values; errors are 0.
+
+    One run within a few sigma cannot see a stream that keeps each mean but breaks
+    independence, such as Bob's basis word equal to Alice's; the law of 300 runs can.
+    """
+    pulses, eta = 2000, 0.6
+    detected_cdf = binomial_cdf(pulses, effective_efficiency(stages, eta))
+    rng = np.random.default_rng(2026)
+    detected_pit, sifted_pit = [], []
+    for seed in range(300):
+        stats = simulate_bb84(Bb84Config(pulses=pulses, stages=stages, ensemble=HAAR, eta=eta, seed=seed))
+        assert stats.errors == 0, seed
+        detected_pit.append(_randomized_pit(rng, detected_cdf, stats.detected))
+        sifted_pit.append(_randomized_pit(rng, binomial_cdf(stats.detected, 0.5), stats.sifted))
+    assert ks_uniform(detected_pit) < _KS_1_PERCENT
+    assert ks_uniform(sifted_pit) < _KS_1_PERCENT
 
 
 def test_stats_accessors_and_csv():
@@ -392,12 +431,23 @@ def test_a_block_draws_every_pulse_in_one_pass(pulses, blocks, monkeypatch):
     assert counts(stats) == reference_bb84(cfg)
 
 
-def test_a_wrong_correction_gives_sifted_errors(monkeypatch):
-    monkeypatch.setattr(qkd, "_gate_map", one_pauli_flipped(qkd._gate_map))
-    cfg = Bb84Config(pulses=600, ensemble=HAAR, seed=8)
+@pytest.mark.parametrize("middle", [False, True], ids=["first", "middle"])
+@pytest.mark.parametrize("stages", [1, 2, 3])
+@pytest.mark.parametrize("convention", list(BsConvention))
+def test_a_wrong_correction_gives_sifted_errors(convention, stages, middle, monkeypatch):
+    # under right corrections every bin of a state gives Bob the same outcome, so only a
+    # wrong one shows a count read at the wrong bin. One of 4(N - 1) bins is wrong, and it
+    # errs on a quarter or half of the pulses it detects: 19 errors or more expected at 300N pulses
+    monkeypatch.setattr(qkd, "_gate_map", one_pauli_flipped(qkd._gate_map, middle))
+    pulses = 300 * EncoderSpec(stages).bins_per_group
+    cfg = Bb84Config(pulses=pulses, stages=stages, ensemble=HAAR, seed=8, convention=convention)
     stats = simulate_bb84(cfg)
     assert stats.errors > 0
     assert counts(stats) == reference_bb84(cfg)
+
+
+def test_a_wrong_correction_is_counted_alike_in_every_block(monkeypatch):
+    monkeypatch.setattr(qkd, "_gate_map", one_pauli_flipped(qkd._gate_map))
     # Under right corrections the counts do not depend on the channel draws;
     # under a wrong one they do, so this checks the draws that straddle blocks.
     monkeypatch.setattr(qkd, "_BLOCK_PULSES", 32)

@@ -281,9 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once per process: the parser reads nothing a call passes in, and
+#: parsing leaves it unchanged, so ``main`` can be called many times.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (CircuitError, CircuitTextError, ValueError, OSError) as err:

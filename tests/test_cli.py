@@ -1,10 +1,16 @@
+import argparse
 import dataclasses
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import timebinsim
+from test_cli_bytes import CASES, EXPECTED
 from timebinsim import cli, noise
 from timebinsim.analysis import analyze, correction_table, total_success
 from timebinsim.cli import main
@@ -362,3 +368,62 @@ def test_parse_rejects_non_finite_phase_with_its_line(tmp_path, capsys):
     assert main(["parse", str(circ)]) == 2
     captured = capsys.readouterr()
     assert "line 2" in captured.err and captured.out == ""
+
+
+#: Calls that fail in parsing or in the command, and ``--help``, each with its exit code.
+_FAILING_CALLS = [(["sweep", "--frequency", "11"], 2), (["scaling", "--seed", "-1"], 2), (["qkd", "--help"], 0)]
+
+
+def _call(argv, capsys) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one ``main`` call, a ``SystemExit`` included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_process_can_call_main_many_times(capsys):
+    # every pinned case twice in a fixed shuffled order, with failing calls between cases:
+    # anything one call left in the shared parser would show in a later call's bytes
+    order = random.Random(25).sample(sorted(CASES) * 2, 2 * len(CASES))
+    pairs = list(zip(order, order[1:]))
+    assert any("json" in CASES[a] and "json" not in CASES[b] for a, b in pairs)
+    failing = {}
+    for name in order:
+        assert _call(CASES[name], capsys) == (0, (EXPECTED / f"{name}.out").read_text(encoding="utf-8"), "")
+        for argv, code in _FAILING_CALLS:
+            result = _call(argv, capsys)
+            assert result[0] == code
+            assert failing.setdefault(" ".join(argv), result) == result
+    assert "usage: timebinsim qkd" in failing["qkd --help"][1]
+    assert "unrecognized arguments: --frequency" in failing["sweep --frequency 11"][2]
+    assert "--seed" in failing["scaling --seed -1"][2]
+
+
+def test_main_builds_no_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["scaling", "--max-stages", "1"], ["golden"], ["sweep", "--samples", "2"]):
+        assert main(argv) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("entry", [["-m", "timebinsim.cli"],
+                                   # what the ``timebinsim`` console script runs
+                                   ["-c", "import sys; from timebinsim.cli import main; sys.exit(main())"]],
+                         ids=["module", "script"])
+def test_a_fresh_interpreter_prints_the_in_process_bytes(entry, capsys):
+    argv = ["scaling", "--max-stages", "2", "--seed", "3"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(timebinsim.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, *entry, *argv], env=env, capture_output=True, check=True)
+    assert out.stdout == expected

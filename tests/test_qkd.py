@@ -15,19 +15,22 @@ from timebinsim.qkd import Bb84Config, Bb84Stats, effective_efficiency, simulate
 from timebinsim.state import PhotonState, new_state
 
 
-def reference_bb84(cfg: Bb84Config) -> tuple[int, int, int]:
-    """(detected, sifted, errors) with every pulse run through the sparse interpreter.
+def reference_bins(cfg: Bb84Config) -> list[tuple[int, int, int]]:
+    """(detected, sifted, errors) per accepted bin, in link order, with every pulse
+    run through the sparse interpreter.
 
     The per-pulse loop the batched ``simulate_bb84`` replaces, kept as its
-    oracle; it looks ``_gate_map`` up on the module, as the batched path does.
+    oracle; it looks ``_gate_map`` up on the module, as the batched path does,
+    and the gate map's order is the link's bin order.
     """
     encoder = EncoderSpec(cfg.stages, cfg.convention)
     decoder = DecoderSpec(0, cfg.convention)
     table = correction_table(encoder, decoder)
     gates = qkd._gate_map(table, encoder, decoder)
+    position = {key: j for j, key in enumerate(gates)}
     sent_states = [[qkd.run(table.encoder_circuit, new_state(q)) for q in pair]
                    for pair in qkd._BB84_STATES]
-    detected = sifted = errors = 0
+    tally = [[0, 0, 0] for _ in gates]
     params, params_index = None, -1
     for pulse in range(cfg.pulses):
         j = pulse // cfg.refresh_every
@@ -43,19 +46,20 @@ def reference_bb84(cfg: Bb84Config) -> tuple[int, int, int]:
 
         u = qkd._uniform(cfg.seed, pulse, 2) / cfg.eta
         hit = None
-        for _key, p, c_h, c_v in detection_events(out, gates):
+        for key, p, c_h, c_v in detection_events(out, gates):
             if u < p:
-                hit = (c_h, c_v)
+                hit = (key, c_h, c_v)
                 break
             u -= p
         if hit is None:
             continue
-        detected += 1
+        key, c_h, c_v = hit
+        counts_in_bin = tally[position[key]]
+        counts_in_bin[0] += 1
         bob_basis = qkd._uniform(cfg.seed, pulse, 3) < 0.5
         if bob_basis != alice_basis:
             continue
-        sifted += 1
-        c_h, c_v = hit
+        counts_in_bin[1] += 1
         norm = abs(c_h) ** 2 + abs(c_v) ** 2
         if bob_basis:
             p_one = abs((c_h - c_v) * _INV_SQRT2) ** 2 / norm
@@ -66,12 +70,37 @@ def reference_bb84(cfg: Bb84Config) -> tuple[int, int, int]:
         elif p_one > 1.0 - 1e-12:
             p_one = 1.0
         if (qkd._uniform(cfg.seed, pulse, 4) < p_one) != alice_bit:
-            errors += 1
-    return detected, sifted, errors
+            counts_in_bin[2] += 1
+    return [tuple(counts_in_bin) for counts_in_bin in tally]
+
+
+def totals(per_bin: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    return tuple(sum(column) for column in zip(*per_bin))
+
+
+def reference_bb84(cfg: Bb84Config) -> tuple[int, int, int]:
+    """(detected, sifted, errors) of the whole run, from ``reference_bins``."""
+    return totals(reference_bins(cfg))
 
 
 def counts(stats: Bb84Stats) -> tuple[int, int, int]:
     return stats.detected, stats.sifted, stats.errors
+
+
+def counts_per_bin(cfg: Bb84Config, bins: int, monkeypatch) -> list[tuple[int, int, int]]:
+    """``simulate_bb84``'s (detected, sifted, errors) in each of the link's ``bins``, one
+    run per bin, with ``_landing_bins`` narrowed to the pulses that land in that bin."""
+    landing_bins = qkd._landing_bins
+    per_bin = []
+    for j in range(bins):
+        def in_bin_j(*args, j=j):
+            found, hit_bin = landing_bins(*args)
+            return found[hit_bin == j], hit_bin[hit_bin == j]
+
+        monkeypatch.setattr(qkd, "_landing_bins", in_bin_j)
+        per_bin.append(counts(simulate_bb84(cfg)))
+    monkeypatch.setattr(qkd, "_landing_bins", landing_bins)
+    return per_bin
 
 
 def test_effective_efficiency_values():
@@ -413,6 +442,21 @@ def test_uniform_stays_below_one(monkeypatch):
         assert batched.shape == (2, 4) and (batched == below_one).all(), word
 
 
+#: The 1 % point of the chi-square law with one degree of freedom.
+_CHI2_1_PERCENT = 6.635
+
+
+def test_alices_and_bobs_basis_words_are_independent():
+    # a stream that ties Bob's basis word to Alice's keeps every word's mean and so every
+    # count's law; a 2x2 chi-square over 10^6 pulses of the draws as a block takes them sees it
+    pulses = 10**6
+    draws = qkd._uniform(2026, np.arange(pulses, dtype=np.uint64), qkd._DRAWS) < 0.5
+    alice_basis, bob_basis = draws[0], draws[3]
+    observed = np.bincount(2 * alice_basis + bob_basis, minlength=4).reshape(2, 2)
+    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / pulses
+    assert ((observed - expected) ** 2 / expected).sum() < _CHI2_1_PERCENT
+
+
 @pytest.mark.parametrize("pulses, blocks", [(1000, 1), (10_000, 3)])
 def test_a_block_draws_every_pulse_in_one_pass(pulses, blocks, monkeypatch):
     calls = []
@@ -443,7 +487,10 @@ def test_a_wrong_correction_gives_sifted_errors(convention, stages, middle, monk
     cfg = Bb84Config(pulses=pulses, stages=stages, ensemble=HAAR, seed=8, convention=convention)
     stats = simulate_bb84(cfg)
     assert stats.errors > 0
-    assert counts(stats) == reference_bb84(cfg)
+    expected = reference_bins(cfg)
+    assert counts(stats) == totals(expected)
+    # a count read at a neighbouring bin can leave the totals right by chance, but not each bin's
+    assert counts_per_bin(cfg, len(expected), monkeypatch) == expected
 
 
 def test_a_wrong_correction_is_counted_alike_in_every_block(monkeypatch):

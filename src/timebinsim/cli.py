@@ -11,6 +11,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -281,13 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Built once per process: the parser reads nothing a call passes in, and
-#: parsing leaves it unchanged, so ``main`` can be called many times.
-_PARSER = build_parser()
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``main`` call, not at import.
+    It reads nothing a call passes in and parsing leaves it unchanged, so ``main``
+    can be called many times."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CircuitError, CircuitTextError, ValueError, OSError) as err:

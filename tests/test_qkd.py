@@ -99,7 +99,6 @@ def counts_per_bin(cfg: Bb84Config, bins: int, monkeypatch) -> list[tuple[int, i
 
         monkeypatch.setattr(qkd, "_landing_bins", in_bin_j)
         per_bin.append(counts(simulate_bb84(cfg)))
-    monkeypatch.setattr(qkd, "_landing_bins", landing_bins)
     return per_bin
 
 

@@ -17,6 +17,7 @@ solving for the Pauli that undoes each bin.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -35,7 +36,7 @@ from .circuits import (
     check_compatible,
     run,
 )
-from .noise import (_MASK64, NoiseEnsemble, NoiseParams, _apply_collective_noise, random_qubit,
+from .noise import (NoiseEnsemble, NoiseParams, _apply_collective_noise, _seed, random_qubit,
                     sample_coefficients, sample_noise, sample_qubits)
 from .state import H, V, PhotonState, QubitSpec, _max_or_nan, new_state
 
@@ -48,21 +49,11 @@ class BranchId(Enum):
     P2H = "2H"
     P2V = "2V"
 
-    @property
-    def port(self) -> str:
-        return PORT_MAIN if self in (BranchId.P1H, BranchId.P2H) else PORT_ALT
-
-    def offset(self, encoder: EncoderSpec, decoder: DecoderSpec) -> int:
-        ticks = 0 if self in (BranchId.P1H, BranchId.P1V) else encoder.dT
-        if self in (BranchId.P1V, BranchId.P2V):
-            ticks += decoder.dTprime
-        return ticks
-
 
 #: The branches in the order of ``NoiseParams.coefficients()``: (d1, g1, d2, g2).
 BRANCHES = (BranchId.P1H, BranchId.P1V, BranchId.P2H, BranchId.P2V)
 #: Each branch's detection port, in ``BRANCHES`` order.
-_PORTS = tuple(branch.port for branch in BRANCHES)
+_PORTS = (PORT_MAIN, PORT_ALT, PORT_MAIN, PORT_ALT)
 #: The channel of the decoder's impulse run.
 _IDENTITY = NoiseParams.identity()
 
@@ -194,7 +185,8 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
     enc_c = build_encoder(encoder)
     dec_c = build_decoder(decoder)
     n = encoder.bins_per_group
-    offsets = [branch.offset(encoder, decoder) for branch in BRANCHES]
+    # each branch's arrival tick: train 2 comes encoder.dT late, the V images decoder.dTprime late
+    offsets = [0, decoder.dTprime, encoder.dT, encoder.dT + decoder.dTprime]
     windows = {(port, offset + t): (branch, t)
                for branch, port, offset in zip(BRANCHES, _PORTS, offsets) for t in range(n + 1)}
 
@@ -397,10 +389,10 @@ def success_probability_sweep(
     drawn alone and interpreted; a draw differing in any bit, or an
     ``analyze`` result differing by more than 1e-12, raises RuntimeError.
     """
+    samples = operator.index(samples)
     if samples < 1:
         raise ValueError("need at least one sample")
-    if not 0 <= seed <= _MASK64 - (samples - 1):
-        raise ValueError(f"seed must be non-negative and seed + {samples - 1} below 2**64, got {seed}")
+    _seed(seed, samples - 1)
     table = correction_table(encoder, decoder)
     n = encoder.bins_per_group
     target = (n - 1) / n

@@ -18,6 +18,7 @@ the chain is an exact integer.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .elements import (
@@ -155,7 +156,7 @@ class EncoderSpec:
     def __post_init__(self):
         if not isinstance(self.convention, BsConvention):
             raise CircuitError(f"convention must be a BsConvention, got {self.convention!r}")
-        if self.stages < 1:
+        if operator.index(self.stages) < 1:
             raise CircuitError("encoder needs at least one splitter stage")
         if self.stages > MAX_STAGES:
             raise CircuitError(f"{self.stages} splitter stages exceed the limit of {MAX_STAGES}")
@@ -191,7 +192,7 @@ class DecoderSpec:
     def __post_init__(self):
         if not isinstance(self.convention, BsConvention):
             raise CircuitError(f"convention must be a BsConvention, got {self.convention!r}")
-        if self.dTprime < 0:
+        if operator.index(self.dTprime) < 0:
             raise CircuitError("V-branch delay must be >= 0 ticks")
 
 

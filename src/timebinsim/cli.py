@@ -31,7 +31,7 @@ from .circuits import (
     run,
 )
 from .elements import BsConvention, ConventionError
-from .noise import HAAR, NoiseEnsemble, apply_collective_noise, random_qubit, sample_noise
+from .noise import HAAR, NoiseEnsemble, _seed, apply_collective_noise, random_qubit, sample_noise
 from .qkd import Bb84Config, simulate_bb84
 from .state import PhotonState, QubitSpec, _max_or_nan, new_state
 
@@ -67,7 +67,7 @@ def _expected_encoded(qubit: QubitSpec, spec: EncoderSpec) -> PhotonState:
 
 
 def cmd_golden(args) -> int:
-    _check_seed(args.seed, 9)  # the qubit reads seed, the noise-branches check seed to seed + 9
+    _seed(args.seed, 9, name="--seed")  # the qubit reads seed, the noise-branches check seed to seed + 9
     spec = EncoderSpec(stages=1, convention=BsConvention(args.convention))
     qubit = random_qubit(args.seed)
     failures = []
@@ -121,21 +121,13 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _check_seed(seed: int, last: int = 0):
-    """Reject a seed whose stream seeds, ``seed`` to ``seed + last``, leave [0, 2**64)."""
-    if seed < 0:  # the library's own message would name no flag
-        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
-    if seed + last >= 2**64:
-        raise ValueError(f"--seed must be at most 2**64 - {last + 1}, got {seed}")
-
-
 def _parts(coefficients) -> list[float]:
     """(re, im) of each of (d1, g1, d2, g2), flattened: the CSV column order."""
     return [x for c in coefficients for x in (c.real, c.imag)]
 
 
 def cmd_sweep(args) -> int:
-    _check_seed(args.seed, args.samples - 1)  # sample i draws its channel and qubit from seed + i
+    _seed(args.seed, args.samples - 1, name="--seed")  # sample i draws its channel and qubit from seed + i
     convention = BsConvention(args.convention)
     result = success_probability_sweep(
         EncoderSpec(args.stages, convention), DecoderSpec(0, convention),
@@ -168,7 +160,7 @@ def cmd_sweep(args) -> int:
 def cmd_scaling(args) -> int:
     convention = BsConvention(args.convention)
     EncoderSpec(args.max_stages, convention)  # the deepest row's depth is checked before any row
-    _check_seed(args.seed, args.max_stages)  # row n draws its channel and qubit from seed + n
+    _seed(args.seed, args.max_stages, name="--seed")  # row n draws its channel and qubit from seed + n
     rows = []
     for stages in range(1, args.max_stages + 1):
         encoder = EncoderSpec(stages, convention)
@@ -196,7 +188,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_qkd(args) -> int:
-    _check_seed(args.seed)  # qkd's draws read the seed as one 64-bit word
+    _seed(args.seed, name="--seed")  # qkd's draws read the seed as one 64-bit word
     cfg = Bb84Config(
         pulses=args.pulses,
         stages=args.stages,
@@ -233,7 +225,11 @@ def cmd_parse(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``main`` call, not at import.
+    It reads nothing a call passes in and parsing leaves it unchanged, so ``main``
+    can be called many times."""
     parser = argparse.ArgumentParser(prog="timebinsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -245,6 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    def link(p):  # the encoder depth and channel ensemble that sweep and qkd share
+        p.add_argument("--stages", type=int, default=1)
+        p.add_argument("--ensemble", choices=NoiseEnsemble._KINDS, default="haar")
+        p.add_argument("--phi", type=float, default=math.pi, help="dephasing angle")
+
     p = sub.add_parser("golden", help="closed-form checks of the encode/noise/recombine chain")
     p.add_argument("--convention", choices=conventions, default="surface")
     p.add_argument("--seed", type=int, default=0)
@@ -253,9 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="success probability over random channel draws")
     common(p)
-    p.add_argument("--stages", type=int, default=1)
-    p.add_argument("--ensemble", choices=NoiseEnsemble._KINDS, default="haar")
-    p.add_argument("--phi", type=float, default=math.pi, help="dephasing angle")
+    link(p)
     p.add_argument("--samples", type=int, default=100)
     p.set_defaults(func=cmd_sweep)
 
@@ -267,9 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qkd", help="BB84 Monte Carlo over the noisy fiber")
     common(p)
     p.add_argument("--pulses", type=int, default=10000)
-    p.add_argument("--stages", type=int, default=1)
-    p.add_argument("--ensemble", choices=NoiseEnsemble._KINDS, default="haar")
-    p.add_argument("--phi", type=float, default=math.pi)
+    link(p)
     p.add_argument("--eta", type=float, default=1.0, help="baseline detector efficiency")
     p.add_argument("--refresh", type=int, default=1, help="pulses per fresh channel draw")
     p.set_defaults(func=cmd_qkd)
@@ -280,14 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", help="complex literal")
     p.set_defaults(func=cmd_parse)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on the first ``main`` call, not at import.
-    It reads nothing a call passes in and parsing leaves it unchanged, so ``main``
-    can be called many times."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

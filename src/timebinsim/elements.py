@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -86,9 +87,10 @@ class Element:
             raise ValueError(f"{self.kind}: phase must be finite, got {self.phi!r}")
         if not isinstance(self.convention, BsConvention):
             raise ValueError(f"{self.kind}: convention must be a BsConvention, got {self.convention!r}")
-        if self.kind == "delay" and self.ticks < 0:
+        ticks = operator.index(self.ticks)
+        if self.kind == "delay" and ticks < 0:
             raise ValueError("delay must be >= 0 ticks")
-        if self.kind == "split" and self.ticks < 1:
+        if self.kind == "split" and ticks < 1:
             raise ValueError("split interval must be >= 1 tick")
 
 

@@ -178,11 +178,12 @@ def _scale(a, x):
     return a[0] * x, a[1] * x
 
 
-def _seed(seed) -> int:
-    """One seed as an int; one outside [0, 2**64) raises instead of wrapping."""
+def _seed(seed, last: int = 0, name: str = "seed") -> int:
+    """``seed`` as an int; raises naming ``name`` if seeds ``seed`` to ``seed + last`` leave [0, 2**64)."""
     seed = operator.index(seed)
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seeds must lie in [0, 2**64), got {seed}")
+    if not 0 <= seed <= _MASK64 - last:
+        raise ValueError(f"{name} must be in [0, 2**64), non-negative, "
+                         f"with {name} + {last} below 2**64, got {seed}")
     return seed
 
 

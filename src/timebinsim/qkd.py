@@ -20,6 +20,7 @@ scale the detection efficiency by (N-1)/N.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .circuits import DecoderSpec, EncoderSpec
 # tests/test_qkd.py and for the benchmark's tracer (perfbench/spans.py).
 from .circuits import run  # noqa: F401
 from .elements import _INV_SQRT2, BsConvention
-from .noise import _MASK64, HAAR, NoiseEnsemble, _mix64, sample_coefficients, sample_noise
+from .noise import _MASK64, HAAR, NoiseEnsemble, _mix64, _seed, sample_coefficients, sample_noise
 from .noise import _apply_collective_noise  # noqa: F401
 from .state import QubitSpec
 
@@ -55,12 +56,11 @@ class Bb84Config:
     convention: BsConvention = BsConvention.SYMMETRIC
 
     def __post_init__(self):
-        if self.pulses < 1 or self.stages < 1 or self.refresh_every < 1:
+        if operator.index(self.pulses) < 1 or self.stages < 1 or operator.index(self.refresh_every) < 1:
             raise ValueError("pulses, stages, and refresh_every must be positive")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("detector efficiency must be in (0, 1]")
-        if not 0 <= self.seed <= _MASK64:  # the draws read the seed modulo 2**64
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        _seed(self.seed)  # the draws read the seed modulo 2**64
         EncoderSpec(self.stages, self.convention)  # rejects a cascade too deep to run
 
 

@@ -11,6 +11,7 @@ All operations are pure: they return new states and never mutate inputs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -94,9 +95,7 @@ class PhotonState:
                     a = complex(a)
                 if not abs(a) < PRUNE_THRESHOLD:  # a NaN is kept
                     channel, pol, tick = mode
-                    if type(pol) is not Polarization:
-                        mode = (channel, Polarization(pol), int(tick))
-                    amps[mode] = a
+                    amps[(channel, Polarization(pol), operator.index(tick))] = a
         self.amplitudes = amps
 
     @classmethod

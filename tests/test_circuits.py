@@ -12,6 +12,7 @@ from _oracles import (REFERENCE_KERNELS, fidelity_with_qubit, qubit_amplitudes, 
 from timebinsim import analysis, circuits
 from timebinsim.analysis import _both_inputs, _span, correction_table
 from timebinsim.noise import _apply_collective_noise
+from timebinsim.qkd import Bb84Config, effective_efficiency
 from timebinsim.circuits import (
     CHANNEL,
     MAX_STAGES,
@@ -311,6 +312,21 @@ def test_decoder_spec_validation():
     check_compatible(EncoderSpec(1), DecoderSpec(16))
     with pytest.raises(CircuitError):
         check_compatible(EncoderSpec(1), DecoderSpec(3))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EncoderSpec(1.5),
+    lambda: effective_efficiency(1.5, 1.0),
+    lambda: DecoderSpec(9.5),
+    lambda: Element("delay", ("a",), ("a",), ticks=1.5),
+    lambda: Bb84Config(pulses=10.0),
+    lambda: Bb84Config(pulses=10, refresh_every=2.5),
+    lambda: analysis.success_probability_sweep(EncoderSpec(1), DecoderSpec(0), HAAR, 2.0, 0),
+], ids=["stages", "efficiency-stages", "dTprime", "ticks", "pulses", "refresh_every", "samples"])
+def test_an_integer_field_rejects_a_non_integer(build):
+    # a float passes each field's range check, so the type is checked where the field is declared
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build()
 
 
 

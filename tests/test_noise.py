@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,8 @@ from timebinsim.noise import (
     sample_qubits,
 )
 from timebinsim.state import PhotonState
-from timebinsim.circuits import apply
+from timebinsim.analysis import success_probability_sweep
+from timebinsim.circuits import DecoderSpec, EncoderSpec, apply
 from timebinsim.elements import Element
 
 
@@ -276,6 +278,27 @@ def test_batch_rejects_seeds_outside_64_bits(seed):
     with pytest.raises(ValueError, match="2\\*\\*64"):
         sample_qubits([5, seed])
     assert sample_noise(IDENTITY, seed) == NoiseParams.identity()  # reads no seed
+
+
+#: Each library entry point that takes a seed, called at one seed, and the span it reads past it.
+SEEDED_CALLS = {
+    "sample_noise": (lambda seed: sample_noise(HAAR, seed), 0),
+    "random_qubit": (random_qubit, 0),
+    "sample_coefficients": (lambda seed: sample_coefficients(HAAR, [seed]), 0),
+    "success_probability_sweep": (lambda seed: success_probability_sweep(
+        EncoderSpec(1), DecoderSpec(0), HAAR, 3, seed), 2),
+    "Bb84Config": (lambda seed: qkd.Bb84Config(pulses=1, seed=seed), 0),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED_CALLS)
+def test_every_seeded_entry_point_keeps_the_one_seed_rule(name):
+    call, last = SEEDED_CALLS[name]
+    call(2**64 - 1 - last)  # its last seed is 2**64 - 1
+    for seed in (-1, 2**64 - last):
+        message = f"seed must be in [0, 2**64), non-negative, with seed + {last} below 2**64, got {seed}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(seed)
 
 
 def test_batch_rejects_an_unnormalized_draw_with_its_index(monkeypatch):

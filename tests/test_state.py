@@ -146,6 +146,13 @@ def test_prune_threshold():
     assert len(s) == 1
 
 
+@pytest.mark.parametrize("pol", ["H", Polarization.H], ids=["str", "Polarization"])
+def test_a_non_integer_tick_is_rejected_whatever_the_polarization_key(pol):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        PhotonState({("a", pol, 1.5): 1.0})
+    assert PhotonState({("a", pol, np.int64(1)): 1.0}).amplitude("a", "H", 1) == 1.0
+
+
 def test_a_nan_amplitude_is_kept_through_construction_and_a_run():
     nan = float("nan")
     s = PhotonState({("c", "H", 0): nan, ("c", "V", 0): 1.0})

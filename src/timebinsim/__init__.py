@@ -9,7 +9,6 @@ what the fiber did.
 """
 
 from .state import (
-    Mode,
     PhotonState,
     Polarization,
     QubitSpec,

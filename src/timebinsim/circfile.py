@@ -106,7 +106,7 @@ def _parse_element(lineno: int, tokens: list[str]) -> Element:
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text; raises CircuitTextError with a line number."""
     input_channel: str | None = None
-    input_line = 0
+    input_line = output_line = 0
     elements: list[Element] = []
     element_lines: list[int] = []
     outputs: tuple[str, ...] | None = None
@@ -132,7 +132,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitTextError(lineno, "output before input")
             if len(tokens) < 2:
                 raise CircuitTextError(lineno, "output needs at least one channel")
-            outputs = tuple(tokens[1:])
+            outputs, output_line = tuple(tokens[1:]), lineno
         else:
             if input_channel is None:
                 raise CircuitTextError(lineno, f"expected 'input <channel>' before {head!r}")
@@ -146,7 +146,7 @@ def parse_circuit(text: str) -> Circuit:
     try:
         return Circuit(input_channel, tuple(elements), outputs)
     except CircuitError as err:
-        lineno = element_lines[err.element_index] if err.element_index is not None else input_line
+        lineno = element_lines[err.element_index] if err.element_index is not None else output_line
         raise CircuitTextError(lineno, str(err)) from None
 
 

@@ -17,6 +17,7 @@ the chain is an exact integer.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -205,46 +206,32 @@ def check_compatible(encoder: EncoderSpec, decoder: DecoderSpec):
         )
 
 
-# The elements of both devices that no spec field sets, built once: a build
-# constructs only the delays that carry ``dT`` and ``dTprime`` and the
-# recombiner's phase. Elements are frozen, so every circuit can share them.
-_ENCODER_HEAD = (
-    Element("pbs", ("in",), ("s", "l")),
-    Element("hwp", ("l",), ("l",)),
-    Element("phase", ("l",), ("l",), phi=ENCODER_ARM_PHASE),
-    Element("delay", ("l",), ("l",), ticks=1),
-)
-_ENCODER_FANOUT = {c: Element("bs", ("s", "l"), ("1", "2"), convention=c) for c in BsConvention}
-#: Both ports' splitters, stage by stage: the first 2 * stages are a cascade's.
-_ENCODER_SPLITS = tuple(Element("split", (port,), (port,), ticks=2 ** stage)
-                        for stage in range(1, MAX_STAGES + 1) for port in ("1", "2"))
-_ENCODER_V_ARM = Element("hwp", ("2",), ("2",))
-_ENCODER_MERGE = Element("pbs", ("1", "2"), (CHANNEL,))
-_DECODER_SORT = Element("pbs", (CHANNEL,), ("h", "v"))
-_DECODER_JOIN = Element("pbs", ("h", "v"), ("mid",))
-_DECODER_OUT = Element("pbs", ("sp", "lp"), (PORT_ALT, PORT_MAIN))
-_RECOMBINER_SPLIT = {c: Element("bs", ("mid",), ("sp", "lp"), convention=c) for c in BsConvention}
-_RECOMBINER_FLIP = Element("hwp", ("sp",), ("sp",))
-_RECOMBINER_DELAY = Element("delay", ("lp",), ("lp",), ticks=1)
-
-
+@functools.cache
 def build_encoder(spec: EncoderSpec) -> Circuit:
-    """The splitting chain of the sender.
+    """The splitting chain of the sender, built once per spec and shared.
 
     Input qubit on channel "in"; output train on the single fiber
     ``CHANNEL``. The V component is first folded onto H on a long arm one
     tick late, a 50/50 splitter fans the pair out onto internal ports "1"
     and "2", each port is split ``stages`` more times at doubling
     intervals, and port "2" is rotated to V and delayed ``dT`` before the
-    polarizing merge onto the fiber.
+    polarizing merge onto the fiber. The arm phase is read at a spec's
+    first build, so setting ``ENCODER_ARM_PHASE`` does not reach a spec
+    already built: to perturb the device, replace this builder or add a
+    spec field.
     """
+    splits = (Element("split", (port,), (port,), ticks=2 ** stage)
+              for stage in range(1, spec.stages + 1) for port in ("1", "2"))
     els = (
-        *_ENCODER_HEAD,
-        _ENCODER_FANOUT[spec.convention],
-        *_ENCODER_SPLITS[:2 * spec.stages],
-        _ENCODER_V_ARM,
+        Element("pbs", ("in",), ("s", "l")),
+        Element("hwp", ("l",), ("l",)),
+        Element("phase", ("l",), ("l",), phi=ENCODER_ARM_PHASE),
+        Element("delay", ("l",), ("l",), ticks=1),
+        Element("bs", ("s", "l"), ("1", "2"), convention=spec.convention),
+        *splits,
+        Element("hwp", ("2",), ("2",)),
         Element("delay", ("2",), ("2",), ticks=spec.dT),
-        _ENCODER_MERGE,
+        Element("pbs", ("1", "2"), (CHANNEL,)),
     )
     return Circuit("in", els, (CHANNEL,))
 
@@ -254,31 +241,34 @@ def recombiner_elements(convention: BsConvention) -> tuple[Element, ...]:
 
     Runs channel "mid" into arms "sp" (short, polarization-flipped) and
     "lp" (long, phase-compensated, one tick late). The state on the two
-    arms is exactly what meets the final polarizing merge. Only the phase
-    element is built on every call, so it reads ``DECODER_ARM_PHASE`` as it
-    stands; the splitter, the plate and the delay are shared.
+    arms is exactly what meets the final polarizing merge.
     """
     return (
-        _RECOMBINER_SPLIT[convention],
-        _RECOMBINER_FLIP,
+        Element("bs", ("mid",), ("sp", "lp"), convention=convention),
+        Element("hwp", ("sp",), ("sp",)),
         Element("phase", ("lp",), ("lp",), phi=DECODER_ARM_PHASE),
-        _RECOMBINER_DELAY,
+        Element("delay", ("lp",), ("lp",), ticks=1),
     )
 
 
+@functools.cache
 def build_decoder(spec: DecoderSpec) -> Circuit:
-    """The receiving chain: polarization sort, optional V delay, recombiner.
+    """The receiving chain: polarization sort, optional V delay, recombiner;
+    built once per spec and shared.
 
     Reads the fiber ``CHANNEL``; detection happens on ports "5" and "6".
     An H-polarized group reassembles its qubit entirely on port "5", a
-    V-polarized group entirely on port "6".
+    V-polarized group entirely on port "6". The arm phase is read at a
+    spec's first build, so setting ``DECODER_ARM_PHASE`` does not reach a
+    spec already built: to perturb the device, replace this builder or add
+    a spec field.
     """
     els = (
-        _DECODER_SORT,
+        Element("pbs", (CHANNEL,), ("h", "v")),
         Element("delay", ("v",), ("v",), ticks=spec.dTprime),
-        _DECODER_JOIN,
+        Element("pbs", ("h", "v"), ("mid",)),
         *recombiner_elements(spec.convention),
-        _DECODER_OUT,
+        Element("pbs", ("sp", "lp"), (PORT_ALT, PORT_MAIN)),
     )
     return Circuit(CHANNEL, els, (PORT_MAIN, PORT_ALT))
 

@@ -56,12 +56,12 @@ class Bb84Config:
     convention: BsConvention = BsConvention.SYMMETRIC
 
     def __post_init__(self):
-        if operator.index(self.pulses) < 1 or self.stages < 1 or operator.index(self.refresh_every) < 1:
-            raise ValueError("pulses, stages, and refresh_every must be positive")
+        if operator.index(self.pulses) < 1 or operator.index(self.refresh_every) < 1:
+            raise ValueError("pulses and refresh_every must be positive")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("detector efficiency must be in (0, 1]")
         _seed(self.seed)  # the draws read the seed modulo 2**64
-        EncoderSpec(self.stages, self.convention)  # rejects a cascade too deep to run
+        EncoderSpec(self.stages, self.convention)  # rejects a cascade too shallow or too deep to run
 
 
 @dataclass(frozen=True)

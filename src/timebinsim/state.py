@@ -14,7 +14,6 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 #: Amplitudes with magnitude below this are dropped from the sparse map.
 PRUNE_THRESHOLD = 1e-15
@@ -30,20 +29,6 @@ class Polarization(str, Enum):
 
 H = Polarization.H
 V = Polarization.V
-
-
-class Mode(NamedTuple):
-    """Addressable basis element: where, which polarization, and when."""
-
-    channel: str
-    pol: Polarization
-    tick: int
-
-    def sort_key(self) -> tuple[str, int, str]:
-        # Total order is channel, then tick, then polarization. Unpacking
-        # lets plain (channel, pol, tick) keys use it too.
-        channel, pol, tick = self
-        return (channel, tick, pol.value)
 
 
 @dataclass(frozen=True)
@@ -125,13 +110,11 @@ class PhotonState:
         return _max_or_nan(abs(self.amplitudes.get(k, 0j) - other.amplitudes.get(k, 0j)) for k in keys)
 
     def dump(self) -> str:
-        """Deterministic text dump, one mode per line: channel,pol,tick,re,im."""
-        lines = []
-        for mode in sorted(self.amplitudes, key=Mode.sort_key):
-            channel, pol, tick = mode
-            a = self.amplitudes[mode]
-            lines.append(f"{channel},{pol.value},{tick},{a.real:.17g},{a.imag:.17g}")
-        return "\n".join(lines)
+        """Deterministic text dump, one mode per line: channel,pol,tick,re,im,
+        ordered by channel, then tick, then polarization."""
+        order = sorted(self.amplitudes.items(), key=lambda item: (item[0][0], item[0][2], item[0][1].value))
+        return "\n".join(f"{channel},{pol.value},{tick},{a.real:.17g},{a.imag:.17g}"
+                         for (channel, pol, tick), a in order)
 
 
 def _max_or_nan(values) -> float:

@@ -9,13 +9,15 @@ Each one checks package code from outside it:
 - ``random_state``: random sparse states, for property tests of ``elements``, ``circuits``, ``noise``;
 - ``noise_matrix``: the Jones matrix, for the unitarity of ``noise.sample_noise``'s Haar draws;
 - ``csv_rows``: one row per bin, for the bins that ``analysis.analyze`` files under a branch;
-- ``detection_events``: the corrected accepted bins of an interpreted state, for ``qkd``'s compiled link;
+- ``gate_map``, ``detection_events``: a table's accepted bins and their corrected amplitudes in an
+  interpreted state, for ``qkd``'s compiled link;
 - ``sequential_bins``: the bin-by-bin walk of detection sampling, for ``qkd``'s two-level sampler;
-- ``one_pauli_flipped``: a wrong correction, for the tests that ``qkd`` counts must see it;
+- ``one_pauli_flipped``: a table with a wrong correction, for the tests that ``qkd`` counts must see it;
 - ``binomial_cdf``, ``ks_uniform``: exact count laws and their KS distance, for ``qkd``'s counts;
 - ``REFERENCE_KERNELS``: the element kernels one amplitude at a time, for ``elements``' own.
 """
 
+import dataclasses
 import math
 from typing import Iterable
 
@@ -116,6 +118,15 @@ def csv_rows(report: BranchReport) -> list[str]:
     return rows
 
 
+_CORRECTIONS = tuple(Correction)
+
+
+def gate_map(table) -> dict:
+    """(port, tick) -> Correction for each accepted bin of ``table``, in ``windows`` order."""
+    return {key: _CORRECTIONS[index]
+            for key, index in zip(table.windows, table.slot_correction.tolist()) if index >= 0}
+
+
 def detection_events(out: PhotonState, gates: dict) -> list:
     """((port, tick), probability, corrected H, corrected V) per bin of ``out`` in ``gates``,
     in ``gates`` order, each corrected by its ``gates`` entry."""
@@ -144,16 +155,16 @@ def sequential_bins(branch, weights, branch_weight, state, u):
     return hit
 
 
-def one_pauli_flipped(gate_map, middle: bool = False):
-    """``gate_map``, a ``qkd._gate_map``, with one accepted bin's Pauli swapped
+def one_pauli_flipped(table, middle: bool = False):
+    """``table``, a ``CorrectionTable``, with one accepted bin's Pauli swapped
     I <-> X, or set to I if it is Z or Y: the first bin by (port, tick), which
     is the link's first, or with ``middle`` the median one, inside the link."""
-    def flipped(table, encoder, decoder):
-        gates = gate_map(table, encoder, decoder)
-        key = sorted(gates)[len(gates) // 2] if middle else min(gates)
-        gates[key] = Correction.BIT_FLIP if gates[key] is Correction.IDENTITY else Correction.IDENTITY
-        return gates
-    return flipped
+    identity, bit_flip = _CORRECTIONS.index(Correction.IDENTITY), _CORRECTIONS.index(Correction.BIT_FLIP)
+    corrections = table.slot_correction.copy()
+    accepted = sorted((key, slot) for slot, key in enumerate(table.windows) if corrections[slot] >= 0)
+    _key, slot = accepted[len(accepted) // 2] if middle else accepted[0]
+    corrections[slot] = bit_flip if corrections[slot] == identity else identity
+    return dataclasses.replace(table, slot_correction=corrections)
 
 
 def binomial_cdf(n: int, p: float) -> list[float]:

@@ -340,9 +340,17 @@ def test_evaluate_scales_each_slot_by_its_own_branch():
 @pytest.mark.parametrize("convention", [SYM, SURF])
 def test_an_uncorrectable_bin_raises_the_derivation_error(convention, stages, monkeypatch):
     # without the decoder's arm phase no single Pauli undoes the first interior bin
-    monkeypatch.setattr(circuits, "DECODER_ARM_PHASE", 0.0)
+    def phaseless(spec):
+        built = circuits.build_decoder(spec)
+        return dataclasses.replace(built, elements=tuple(
+            dataclasses.replace(el, phi=0.0) if el.kind == "phase" else el for el in built.elements))
+
+    monkeypatch.setattr(analysis, "build_decoder", phaseless)
     with pytest.raises(CorrectionDerivationError, match="bin 1 of branch P1H"):
         correction_table(EncoderSpec(stages, convention), DecoderSpec(0, convention))
+    # the copy left the shared decoder as built
+    shared = circuits.build_decoder(DecoderSpec(0, convention))
+    assert [el.phi for el in shared.elements if el.kind == "phase"] == [circuits.DECODER_ARM_PHASE]
 
 
 # -- references for the batched sweep draws and the table's derivation ---------

@@ -77,6 +77,13 @@ def test_error_undeclared_channel_names_channel_and_line():
     assert "'q'" in str(err.value)
 
 
+def test_error_undeclared_output_names_the_output_line():
+    with pytest.raises(CircuitTextError) as err:
+        parse_circuit("input a\nhwp a -> a\n\noutput b  # not made\n")
+    assert err.value.line == 4
+    assert str(err.value) == "line 4: declared output 'b' is not produced by the circuit"
+
+
 def test_error_use_before_produced():
     text = "input a\nbs a b -> c d conv=symmetric\npbs a -> b x\noutput c d\n"
     with pytest.raises(CircuitTextError) as err:

@@ -5,7 +5,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from _oracles import binomial_cdf, detection_events, ks_uniform, one_pauli_flipped, sequential_bins
+from _oracles import binomial_cdf, detection_events, gate_map, ks_uniform, one_pauli_flipped, sequential_bins
 from timebinsim import qkd
 from timebinsim.analysis import _PAULI_MATRICES, Correction, correction_table
 from timebinsim.circuits import CHANNEL, MAX_STAGES, CircuitError, DecoderSpec, EncoderSpec
@@ -20,13 +20,12 @@ def reference_bins(cfg: Bb84Config) -> list[tuple[int, int, int]]:
     run through the sparse interpreter.
 
     The per-pulse loop the batched ``simulate_bb84`` replaces, kept as its
-    oracle; it looks ``_gate_map`` up on the module, as the batched path does,
-    and the gate map's order is the link's bin order.
+    oracle; it looks ``correction_table`` up on the module, as the batched path
+    does, and gates the table's accepted slots in ``windows`` order, the link's
+    bin order.
     """
-    encoder = EncoderSpec(cfg.stages, cfg.convention)
-    decoder = DecoderSpec(0, cfg.convention)
-    table = correction_table(encoder, decoder)
-    gates = qkd._gate_map(table, encoder, decoder)
+    table = qkd.correction_table(EncoderSpec(cfg.stages, cfg.convention), DecoderSpec(0, cfg.convention))
+    gates = gate_map(table)
     position = {key: j for j, key in enumerate(gates)}
     sent_states = [[qkd.run(table.encoder_circuit, new_state(q)) for q in pair]
                    for pair in qkd._BB84_STATES]
@@ -124,6 +123,8 @@ def test_config_validation():
         Bb84Config(pulses=10, eta=0.0)
     with pytest.raises(ValueError):
         Bb84Config(pulses=10, refresh_every=0)
+    with pytest.raises(CircuitError, match="at least one splitter stage"):
+        Bb84Config(pulses=10, stages=0)
     with pytest.raises(CircuitError, match="exceed"):
         Bb84Config(pulses=10, stages=40)
     # the draws read the seed modulo 2**64, so a seed outside it would alias another
@@ -238,7 +239,7 @@ def test_compiled_bins_match_the_interpreter(convention, stages):
     encoder, decoder = EncoderSpec(stages, convention), DecoderSpec(0, convention)
     table = correction_table(encoder, decoder)
     branch, maps = qkd._compile_link(table)
-    gates = qkd._gate_map(table, encoder, decoder)
+    gates = gate_map(table)
     for seed in range(5):
         params = sample_noise(GENERAL, seed)
         q = random_qubit(10 * stages + seed)
@@ -456,6 +457,13 @@ def test_a_block_draws_every_pulse_in_one_pass(pulses, blocks, monkeypatch):
     assert counts(stats) == reference_bb84(cfg)
 
 
+def flip_one_pauli(monkeypatch, middle: bool = False):
+    """Make ``simulate_bb84`` and ``reference_bins`` derive links with one wrong Pauli."""
+    derive = qkd.correction_table
+    monkeypatch.setattr(qkd, "correction_table",
+                        lambda encoder, decoder: one_pauli_flipped(derive(encoder, decoder), middle))
+
+
 @pytest.mark.parametrize("middle", [False, True], ids=["first", "middle"])
 @pytest.mark.parametrize("stages", [1, 2, 3])
 @pytest.mark.parametrize("convention", list(BsConvention))
@@ -463,7 +471,7 @@ def test_a_wrong_correction_gives_sifted_errors(convention, stages, middle, monk
     # under right corrections every bin of a state gives Bob the same outcome, so only a
     # wrong one shows a count read at the wrong bin. One of 4(N - 1) bins is wrong, and it
     # errs on a quarter or half of the pulses it detects: 19 errors or more expected at 300N pulses
-    monkeypatch.setattr(qkd, "_gate_map", one_pauli_flipped(qkd._gate_map, middle))
+    flip_one_pauli(monkeypatch, middle)
     pulses = 300 * EncoderSpec(stages).bins_per_group
     cfg = Bb84Config(pulses=pulses, stages=stages, ensemble=HAAR, seed=8, convention=convention)
     stats = simulate_bb84(cfg)
@@ -475,7 +483,7 @@ def test_a_wrong_correction_gives_sifted_errors(convention, stages, middle, monk
 
 
 def test_a_wrong_correction_is_counted_alike_in_every_block(monkeypatch):
-    monkeypatch.setattr(qkd, "_gate_map", one_pauli_flipped(qkd._gate_map))
+    flip_one_pauli(monkeypatch)
     # Under right corrections the counts do not depend on the channel draws;
     # under a wrong one they do, so this checks the draws that straddle blocks.
     monkeypatch.setattr(qkd, "_BLOCK_PULSES", 32)

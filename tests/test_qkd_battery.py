@@ -72,7 +72,9 @@ def test_the_counts_do_not_depend_on_the_channel_stream(monkeypatch):
 
 def test_under_a_wrong_correction_the_counts_do_depend_on_it(monkeypatch):
     # the twin of the test above: it can fail, since a flipped Pauli makes errors that follow the channel
-    monkeypatch.setattr(qkd, "_gate_map", one_pauli_flipped(qkd._gate_map))
+    derive = qkd.correction_table
+    monkeypatch.setattr(qkd, "correction_table",
+                        lambda encoder, decoder: one_pauli_flipped(derive(encoder, decoder)))
     drawn = battery()
     _swap_the_channel_stream(monkeypatch)
     assert battery() != drawn

@@ -7,7 +7,7 @@ from _oracles import fidelity_with_qubit, qubit_amplitudes, random_state, restri
 from timebinsim.circuits import Circuit, run
 from timebinsim.elements import Element
 from timebinsim.noise import random_qubit
-from timebinsim.state import Mode, PhotonState, Polarization, QubitSpec, _max_or_nan, new_state
+from timebinsim.state import PhotonState, Polarization, QubitSpec, _max_or_nan, new_state
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -194,10 +194,3 @@ def test_dump_is_sorted_and_stable():
         "b,V,2,0.33333333333333331,0",
     ]
     assert s.dump() == PhotonState(dict(s.amplitudes)).dump()
-
-
-def test_mode_total_order():
-    modes = [Mode("b", Polarization.H, 0), Mode("a", Polarization.V, 1), Mode("a", Polarization.H, 1)]
-    ordered = sorted(modes, key=Mode.sort_key)
-    assert [m.channel for m in ordered] == ["a", "a", "b"]
-    assert ordered[0].pol is Polarization.H

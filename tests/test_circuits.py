@@ -16,6 +16,8 @@ from timebinsim.qkd import Bb84Config, effective_efficiency
 from timebinsim.circuits import (
     CHANNEL,
     MAX_STAGES,
+    PORT_ALT,
+    PORT_MAIN,
     Circuit,
     CircuitError,
     DecoderSpec,
@@ -326,6 +328,49 @@ def test_an_integer_field_rejects_a_non_integer(build):
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         build()
 
+
+def reference_encoder(spec):
+    """``build_encoder``'s chain written out element by element, in chain order."""
+    els = [
+        Element("pbs", ("in",), ("s", "l")),
+        Element("hwp", ("l",), ("l",)),
+        Element("phase", ("l",), ("l",), phi=circuits.ENCODER_ARM_PHASE),
+        Element("delay", ("l",), ("l",), ticks=1),
+        Element("bs", ("s", "l"), ("1", "2"), convention=spec.convention),
+    ]
+    for stage in range(1, spec.stages + 1):
+        els.append(Element("split", ("1",), ("1",), ticks=2 ** stage))
+        els.append(Element("split", ("2",), ("2",), ticks=2 ** stage))
+    els.append(Element("hwp", ("2",), ("2",)))
+    els.append(Element("delay", ("2",), ("2",), ticks=spec.dT))
+    els.append(Element("pbs", ("1", "2"), (CHANNEL,)))
+    return Circuit("in", tuple(els), (CHANNEL,))
+
+
+def reference_decoder(spec):
+    """``build_decoder``'s chain written out element by element, in chain order."""
+    els = (
+        Element("pbs", (CHANNEL,), ("h", "v")),
+        Element("delay", ("v",), ("v",), ticks=spec.dTprime),
+        Element("pbs", ("h", "v"), ("mid",)),
+        Element("bs", ("mid",), ("sp", "lp"), convention=spec.convention),
+        Element("hwp", ("sp",), ("sp",)),
+        Element("phase", ("lp",), ("lp",), phi=circuits.DECODER_ARM_PHASE),
+        Element("delay", ("lp",), ("lp",), ticks=1),
+        Element("pbs", ("sp", "lp"), (PORT_ALT, PORT_MAIN)),
+    )
+    return Circuit(CHANNEL, els, (PORT_MAIN, PORT_ALT))
+
+
+@pytest.mark.parametrize("convention", [SYM, SURF])
+def test_builds_from_prebuilt_elements_equal_the_element_by_element_chains(convention):
+    # the builders are memoized: the device each spec shares must be the chain written out
+    for stages in range(1, MAX_STAGES + 1):
+        encoder = EncoderSpec(stages, convention)
+        assert build_encoder(encoder) == reference_encoder(encoder), stages
+        for dtprime in (0, encoder.bins_per_group + 1):
+            decoder = DecoderSpec(dtprime, convention)
+            assert build_decoder(decoder) == reference_decoder(decoder), (stages, dtprime)
 
 
 def test_a_second_build_of_an_equal_spec_constructs_nothing(monkeypatch):

@@ -86,15 +86,13 @@ class CorrectionDerivationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CorrectionTable:
-    """The link: its circuits, its detection windows and each slot's map and Pauli.
+    """The link: its specs, its detection windows and each slot's map and Pauli.
 
     Bins are counted from each group's arrival.
     """
 
     encoder: EncoderSpec
     decoder: DecoderSpec
-    encoder_circuit: Circuit
-    decoder_circuit: Circuit
     #: (port, absolute tick) -> (BranchId, bin) over the four group
     #: windows, branch by branch in ``BRANCHES`` order, bins ascending.
     windows: dict
@@ -110,7 +108,8 @@ class CorrectionTable:
 
     def transmit(self, qubit: QubitSpec, params: NoiseParams) -> PhotonState:
         """Encode ``qubit``, corrupt the fiber collectively with ``params``, decode."""
-        return _decode(self.decoder_circuit, run(self.encoder_circuit, new_state(qubit)), params)
+        sent = run(build_encoder(self.encoder), new_state(qubit))
+        return _decode(build_decoder(self.decoder), sent, params)
 
 
 def _decode(dec_c: Circuit, sent: PhotonState, params: NoiseParams) -> PhotonState:
@@ -233,7 +232,7 @@ def correction_table(encoder: EncoderSpec, decoder: DecoderSpec) -> CorrectionTa
     slot_branch = np.repeat(np.arange(len(BRANCHES)), n + 1)
     for array in (maps, slot_branch, slot_correction):
         array.flags.writeable = False
-    return CorrectionTable(encoder, decoder, enc_c, dec_c, windows, maps, slot_branch, slot_correction)
+    return CorrectionTable(encoder, decoder, windows, maps, slot_branch, slot_correction)
 
 
 class AcceptedBin(NamedTuple):

@@ -48,6 +48,8 @@ DECODER_ARM_PHASE = math.pi / 2.0
 #: decoded state about 6.6e4 modes. Deeper specs are rejected before any
 #: state is allocated.
 MAX_STAGES = 12
+#: Most modes ``run`` lets an element leave: twice the stage-12 devices' peak of 65,536.
+MAX_MODES = 1 << 17
 
 #: Label of the single fiber between encoder and decoder.
 CHANNEL = "chan"
@@ -94,6 +96,8 @@ class Circuit:
         for ch in self.outputs:
             if ch not in live:
                 raise CircuitError(f"declared output {ch!r} is not produced by the circuit")
+        if len(set(self.outputs)) < len(self.outputs):
+            raise CircuitError(f"repeated output channel in {' '.join(self.outputs)!r}")
 
 
 def _pad2(labels: tuple[str, ...]) -> tuple[str | None, str | None]:
@@ -129,15 +133,17 @@ def apply(element: Element, state: PhotonState) -> PhotonState:
 
 
 def run(circuit: Circuit, state: PhotonState) -> PhotonState:
-    """Apply the circuit's elements in order; pure and deterministic."""
+    """Apply the circuit's elements in order; pure and deterministic, up to ``MAX_MODES`` modes."""
     for mode in state.amplitudes:
         if mode[0] != circuit.input:
             raise CircuitError(
                 f"state has amplitude on {mode[0]!r} but the circuit reads {circuit.input!r}"
             )
     amps = state.amplitudes
-    for el in circuit.elements:
+    for idx, el in enumerate(circuit.elements):
         amps = _dispatch(el, amps)
+        if len(amps) > MAX_MODES:
+            raise CircuitError(f"element {idx + 1} ({el.kind}): over {MAX_MODES} modes", element_index=idx)
     return PhotonState._from_clean(amps)
 
 
@@ -207,8 +213,8 @@ def check_compatible(encoder: EncoderSpec, decoder: DecoderSpec):
 
 
 @functools.cache
-def build_encoder(spec: EncoderSpec) -> Circuit:
-    """The splitting chain of the sender, built once per spec and shared.
+def build_encoder(spec: EncoderSpec, /) -> Circuit:
+    """The splitting chain of the sender, built once per positional-only spec and shared.
 
     Input qubit on channel "in"; output train on the single fiber
     ``CHANNEL``. The V component is first folded onto H on a long arm one
@@ -252,9 +258,9 @@ def recombiner_elements(convention: BsConvention) -> tuple[Element, ...]:
 
 
 @functools.cache
-def build_decoder(spec: DecoderSpec) -> Circuit:
+def build_decoder(spec: DecoderSpec, /) -> Circuit:
     """The receiving chain: polarization sort, optional V delay, recombiner;
-    built once per spec and shared.
+    built once per positional-only spec and shared.
 
     Reads the fiber ``CHANNEL``; detection happens on ports "5" and "6".
     An H-polarized group reassembles its qubit entirely on port "5", a

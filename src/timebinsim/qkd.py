@@ -34,15 +34,9 @@ from .circuits import run  # noqa: F401
 from .elements import _INV_SQRT2, BsConvention
 from .noise import _MASK64, HAAR, NoiseEnsemble, _mix64, _seed, sample_coefficients, sample_noise
 from .noise import _apply_collective_noise  # noqa: F401
-from .state import QubitSpec
 
-#: Alice's states, indexed [basis][bit]; basis 0 is H/V, basis 1 diagonal.
-_BB84_STATES = (
-    (QubitSpec.horizontal(), QubitSpec.vertical()),
-    (QubitSpec.diagonal(), QubitSpec.antidiagonal()),
-)
-#: (alpha, beta) of Alice's states, indexed 2 * basis + bit.
-_BB84_QUBITS = np.array([(q.alpha, q.beta) for pair in _BB84_STATES for q in pair])
+#: (alpha, beta) of Alice's states, indexed 2 * basis + bit; basis 0 is H/V, basis 1 diagonal.
+_BB84_QUBITS = np.array([(1.0, 0.0), (0.0, 1.0), (_INV_SQRT2, _INV_SQRT2), (_INV_SQRT2, -_INV_SQRT2)])
 
 
 @dataclass(frozen=True)

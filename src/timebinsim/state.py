@@ -43,24 +43,6 @@ class QubitSpec:
         if not abs(n - 1.0) <= TOLERANCE:  # also rejects NaN
             raise ValueError(f"qubit amplitudes not normalized: |a|^2+|b|^2 = {n!r}")
 
-    @staticmethod
-    def horizontal() -> "QubitSpec":
-        return QubitSpec(1.0, 0.0)
-
-    @staticmethod
-    def vertical() -> "QubitSpec":
-        return QubitSpec(0.0, 1.0)
-
-    @staticmethod
-    def diagonal() -> "QubitSpec":
-        s = 1.0 / math.sqrt(2.0)
-        return QubitSpec(s, s)
-
-    @staticmethod
-    def antidiagonal() -> "QubitSpec":
-        s = 1.0 / math.sqrt(2.0)
-        return QubitSpec(s, -s)
-
 
 class PhotonState:
     """Finite map mode -> complex amplitude.

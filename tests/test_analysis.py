@@ -178,6 +178,18 @@ def test_success_independent_of_noise_sample_by_sample():
         assert result.mean_success == pytest.approx(0.75, abs=1e-12)
 
 
+@pytest.mark.parametrize("stages", [1, 2, 3, 6])
+@pytest.mark.parametrize("encoder_convention, decoder_convention", [(SYM, SURF), (SURF, SYM)])
+def test_a_mixed_convention_link_keeps_the_claims(encoder_convention, decoder_convention, stages):
+    # the sender's and the receiver's splitters need not share a convention: the table derives each bin's Pauli
+    enc = EncoderSpec(stages, encoder_convention)
+    for ensemble in (HAAR, GENERAL):
+        result = success_probability_sweep(enc, DecoderSpec(0, decoder_convention), ensemble, samples=20, seed=5)
+        assert result.target == (enc.bins_per_group - 1) / enc.bins_per_group
+        assert result.max_deviation < 1e-9
+        assert min(s.min_fidelity for s in result.samples) >= 1 - 1e-12
+
+
 def test_sweep_is_deterministic():
     enc = EncoderSpec(1, SYM)
     dec = DecoderSpec(0, SYM)
@@ -413,7 +425,7 @@ def oracle_slot_maps(table):
     """Each slot's map from four full transmits, one per basis state and channel setting."""
     maps = {key: np.zeros((2, 2), dtype=complex) for key in table.windows}
     for params in (NoiseParams.identity(), NoiseParams(0, 1, 1, 0)):  # identity, bit flip
-        for col, qubit in enumerate((QubitSpec.horizontal(), QubitSpec.vertical())):
+        for col, qubit in enumerate((QubitSpec(1.0, 0.0), QubitSpec(0.0, 1.0))):
             for key, (a_h, a_v) in _slots(table.transmit(qubit, params), table.windows).items():
                 maps[key][:, col] = a_h, a_v
     return np.array(list(maps.values()))

@@ -8,7 +8,7 @@ from timebinsim.circfile import (
     print_circuit,
     shipped_circuit,
 )
-from timebinsim.circuits import DecoderSpec, EncoderSpec, build_decoder, build_encoder
+from timebinsim.circuits import MAX_STAGES, DecoderSpec, EncoderSpec, build_decoder, build_encoder
 from timebinsim.elements import BsConvention
 from timebinsim.noise import NoiseParams
 
@@ -39,6 +39,7 @@ def test_print_parse_fixed_point_on_builders():
     for circuit in (
         build_encoder(EncoderSpec(2, BsConvention.SURFACE_PHASES)),
         build_decoder(DecoderSpec(16, BsConvention.SYMMETRIC)),
+        *(build_encoder(EncoderSpec(MAX_STAGES, convention)) for convention in BsConvention),
     ):
         text = print_circuit(circuit)
         assert parse_circuit(text) == circuit
@@ -82,6 +83,12 @@ def test_error_undeclared_output_names_the_output_line():
         parse_circuit("input a\nhwp a -> a\n\noutput b  # not made\n")
     assert err.value.line == 4
     assert str(err.value) == "line 4: declared output 'b' is not produced by the circuit"
+
+
+def test_error_repeated_output_names_the_output_line():
+    with pytest.raises(CircuitTextError) as err:
+        parse_circuit("input a\nhwp a -> a\noutput a a\n")
+    assert str(err.value) == "line 3: repeated output channel in 'a a'"
 
 
 def test_error_use_before_produced():

@@ -395,6 +395,16 @@ def test_a_second_build_of_an_equal_spec_constructs_nothing(monkeypatch):
                 made.clear()
                 assert build_decoder(DecoderSpec(dtprime, convention)) is first
                 assert made == []
+    # the spec is positional-only: a keyword call would be a second cache key, and so a second device
+    for builder, spec in ((build_encoder, EncoderSpec(1, SYM)), (build_decoder, DecoderSpec(0, SYM))):
+        first = builder(spec)
+        before = builder.cache_info()
+        with pytest.raises(TypeError):
+            builder(spec=spec)
+        after = builder.cache_info()
+        # functools counts the rejected lookup as a miss, but it stores and builds nothing
+        assert (after.hits, after.currsize, made) == (before.hits, before.currsize, [])
+        assert builder(spec) is first
 
 
 def test_circuit_wiring_validation():
@@ -512,7 +522,7 @@ def test_kernels_equal_the_reference_kernels_on_the_devices(convention, monkeypa
     # the devices on sent qubits and on the two-input impulse runs of correction_table
     for stages in range(1, MAX_STAGES + 1):
         encoder = build_encoder(EncoderSpec(stages, convention))
-        qubits = [new_state(q) for q in (QubitSpec.diagonal(), random_qubit(stages))]
+        qubits = [new_state(q) for q in (QubitSpec(S2, S2), random_qubit(stages))]
         inputs = [*qubits, _both_inputs(encoder.input, _span(encoder))]
         _assert_kernels_match_the_reference([partial(run, encoder, s) for s in inputs], monkeypatch)
         sent = run(encoder, qubits[1]).amplitudes

@@ -14,7 +14,7 @@ from timebinsim import cli, noise
 from timebinsim.analysis import analyze, correction_table, total_success
 from timebinsim.cli import main
 from timebinsim.circfile import print_circuit
-from timebinsim.circuits import CHANNEL, DecoderSpec, EncoderSpec, build_encoder
+from timebinsim.circuits import CHANNEL, MAX_MODES, DecoderSpec, EncoderSpec, build_encoder
 from timebinsim.elements import BsConvention
 from timebinsim.noise import HAAR, random_qubit, sample_noise
 from timebinsim.state import PhotonState
@@ -323,6 +323,34 @@ def test_parse_reports_line_numbered_error(tmp_path, capsys):
     circ.write_text("input a\nhwp a ->\noutput a\n")
     assert main(["parse", str(circ)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def _splits(path, ticks) -> str:
+    """A circuit file of one time-bin splitter on channel "in" per entry of ``ticks``."""
+    path.write_text("input in\n" + "".join(f"split in -> in ticks={t}\n" for t in ticks) + "output in\n")
+    return str(path)
+
+
+def test_a_state_past_max_modes_exits_2_naming_the_element(tmp_path, capsys):
+    # splitters at ticks 1, 2, 4, ... double the state: without the limit, 40 would need terabytes
+    circ = _splits(tmp_path / "doubling.circ", [2 ** i for i in range(40)])
+    assert main(["parse", circ, "--alpha", "1"]) == 2
+    captured = capsys.readouterr()
+    # one mode in, 2**k after element k: the first past the limit is element k = MAX_MODES.bit_length()
+    assert captured.err == f"error: element {MAX_MODES.bit_length()} (split): over {MAX_MODES} modes\n"
+    assert captured.out == ""
+    assert main(["golden", "--encoder-circ", circ]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"check encode: error: element {MAX_MODES.bit_length() - 1} (split): over")
+    assert out.splitlines()[-1] == "failed checks: encode"
+
+
+def test_many_overlapping_splitters_run(tmp_path, capsys):
+    # 20 splitters one tick apart overlap into 21 ticks: 42 modes, far below the limit
+    circ = _splits(tmp_path / "overlapping.circ", [1] * 20)
+    assert main(["parse", circ, "--alpha", "0.6", "--beta", "0.8"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.split("# state dump\n")[1].splitlines()) == 42
 
 
 def test_unknown_flag_exits_2():

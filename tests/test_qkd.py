@@ -8,11 +8,12 @@ import pytest
 from _oracles import binomial_cdf, detection_events, gate_map, ks_uniform, one_pauli_flipped, sequential_bins
 from timebinsim import qkd
 from timebinsim.analysis import _PAULI_MATRICES, Correction, correction_table
-from timebinsim.circuits import CHANNEL, MAX_STAGES, CircuitError, DecoderSpec, EncoderSpec
+from timebinsim.circuits import (CHANNEL, MAX_STAGES, CircuitError, DecoderSpec, EncoderSpec, build_decoder,
+                                 build_encoder)
 from timebinsim.elements import _INV_SQRT2, BsConvention
 from timebinsim.noise import GENERAL, HAAR, IDENTITY, dephasing, random_qubit, sample_noise
 from timebinsim.qkd import Bb84Config, Bb84Stats, effective_efficiency, simulate_bb84
-from timebinsim.state import PhotonState, new_state
+from timebinsim.state import PhotonState, QubitSpec, new_state
 
 
 def reference_bins(cfg: Bb84Config) -> list[tuple[int, int, int]]:
@@ -27,8 +28,9 @@ def reference_bins(cfg: Bb84Config) -> list[tuple[int, int, int]]:
     table = qkd.correction_table(EncoderSpec(cfg.stages, cfg.convention), DecoderSpec(0, cfg.convention))
     gates = gate_map(table)
     position = {key: j for j, key in enumerate(gates)}
-    sent_states = [[qkd.run(table.encoder_circuit, new_state(q)) for q in pair]
-                   for pair in qkd._BB84_STATES]
+    encoder, decoder = build_encoder(table.encoder), build_decoder(table.decoder)
+    # Alice's states, indexed 2 * basis + bit
+    sent_states = [qkd.run(encoder, new_state(QubitSpec(*q))) for q in qkd._BB84_QUBITS.tolist()]
     tally = [[0, 0, 0] for _ in gates]
     params, params_index = None, -1
     for pulse in range(cfg.pulses):
@@ -38,10 +40,10 @@ def reference_bins(cfg: Bb84Config) -> list[tuple[int, int, int]]:
             params_index = j
         alice_basis = qkd._uniform(cfg.seed, pulse, 0) < 0.5
         alice_bit = qkd._uniform(cfg.seed, pulse, 1) < 0.5
-        sent = sent_states[alice_basis][alice_bit]
+        sent = sent_states[2 * alice_basis + alice_bit]
         noisy = PhotonState._from_clean(
             qkd._apply_collective_noise(sent.amplitudes, params, {CHANNEL}))
-        out = qkd.run(table.decoder_circuit, noisy)
+        out = qkd.run(decoder, noisy)
 
         u = qkd._uniform(cfg.seed, pulse, 2) / cfg.eta
         hit = None
@@ -316,8 +318,7 @@ def _link_weights(stages, convention):
     """(branch per bin, (bin, state) probability at unit coefficient) of a link, as simulate_bb84 reads it."""
     table = correction_table(EncoderSpec(stages, convention), DecoderSpec(0, convention))
     branch, maps = qkd._compile_link(table)
-    qubits = np.array([(q.alpha, q.beta) for pair in qkd._BB84_STATES for q in pair])
-    return branch, (np.abs(np.einsum("jab,sb->sja", maps, qubits)) ** 2).sum(axis=2).T
+    return branch, (np.abs(np.einsum("jab,sb->sja", maps, qkd._BB84_QUBITS)) ** 2).sum(axis=2).T
 
 
 def _landing_bins(keys, totals, branch_weight, state, u):
